@@ -18,6 +18,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -185,6 +186,13 @@ def _parse_rational(text: str) -> Fraction:
     return Fraction(fileio.parse_number(text, exact=True))
 
 
+def _positive_tolerance(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers (each returns (exit_code, payload_text, extra_files))
 
@@ -342,21 +350,21 @@ def cmd_ramsey(args):
         g = load_graph(args.G)
         targets = [load_graph(spec) for spec in args.H.split(",")]
         p = cfg.p
+        seed = _seed_from(args, cfg)
         if args.kind == "B":
             report = check_event_bad(
-                g, targets, p, budget_colorings=cfg.budget_colorings
+                g, targets, p, budget_colorings=cfg.budget_colorings, seed=seed
             )
         elif args.kind == "Bprime":
             report = check_event_bad_prime(
                 g, targets, p, cfg.delta,
                 budget_colorings=cfg.budget_colorings,
                 budget_subsets=cfg.budget_subsets,
+                seed=seed,
             )
         elif args.kind == "E":
             sizes = [t.n for t in targets]
-            report = check_event_inductive(
-                g, sizes, p, cfg.delta, seed=_seed_from(args, cfg)
-            )
+            report = check_event_inductive(g, sizes, p, cfg.delta, seed=seed)
         else:
             raise InputError(f"unknown event kind {args.kind!r}")
         payload = {
@@ -422,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     pj.add_argument("--hypergraph", required=True)
     pj.add_argument("--p", required=True)
     pj.add_argument("--R", required=True)
-    pj.add_argument("--tol", type=float, default=1e-9)
+    pj.add_argument("--tol", type=_positive_tolerance, default=1e-9)
     pj.set_defaults(handler=cmd_janson)
 
     pc = sub.add_parser("copies", help="build the induced-copy hypergraph")
@@ -512,7 +520,7 @@ def dispatch(argv) -> int:
     except UndecidedError as exc:
         sys.stderr.write(f"undecided: {exc}\n")
         return EXIT_UNDECIDED
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
     sys.stdout.write(payload_text)

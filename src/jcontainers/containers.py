@@ -7,9 +7,10 @@ Three layers:
   in a q-random vertex set, given independence, is at most ((1-alpha) q)^|T|;
   the cover attached to T collects every vertex set whose conditional
   probability given independence in the non-strict link at T is that small.
-  All probabilities are exact rationals computed by a superset-sum (zeta)
-  transform over the independence indicator, so the verification of the
-  strict inequalities is exact.
+  All probabilities are exact rationals, so the verification of the strict
+  inequalities is exact: the whole family reads them from a superset-sum
+  (zeta) transform over the independence indicator, and a single query
+  (conditional_prob, in_cover) from a weighted count of independent sets.
 
 * Cover certificates.  A cover of a target hypergraph whose members all have
   size at least 2 bounds the Janson threshold from above by its p-weight
@@ -40,10 +41,13 @@ from typing import Optional
 from .copies import ExtensionHypergraph
 from .errors import BudgetError, InputError
 from .hypercore import (
+    DEFAULT_ENUM_CAP,
     Hypergraph,
     bits_of,
+    independence_polynomial,
     is_independent,
     mask_of,
+    nonstrict_link,
     popcount,
     project,
     restrict_edges,
@@ -51,7 +55,7 @@ from .hypercore import (
 from .janson import require_verdict
 from .prng import SplitMix64
 
-ZETA_CAP = 16  # the transforms allocate 2^n tables
+ZETA_CAP = 16  # the family's transforms allocate 2^n tables; single queries allocate none
 DESK_CAP = 14
 
 
@@ -98,30 +102,23 @@ def _superset_weight_table(n: int, keep: list[bool], q: Fraction) -> list[int]:
 
 def conditional_prob(h: Hypergraph, l_mask: int, q, t_mask: int = 0) -> Fraction:
     """Exact P(L inside V_q | V_q independent in the non-strict link at T);
-    T defaults to the empty set, giving plain conditional independence."""
+    T defaults to the empty set, giving plain conditional independence.
+
+    Both sides are weighted counts of independent sets of the link, taken
+    by :func:`independence_polynomial` without enumerating the sets; the
+    common denominator b^n (q = a/b) cancels.  Hosts above
+    ``DEFAULT_ENUM_CAP`` vertices are refused."""
     q = _as_fraction(q, "q")
     if not 0 < q < 1:
         raise InputError("q must lie in (0, 1)")
-    if h.n > ZETA_CAP:
-        # direct summation fallback; independent_sets guards the budget
-        from .hypercore import independent_sets
-
-        num = den = Fraction(0)
-        a, b = q.numerator, q.denominator
-        for i_mask in independent_sets(Hypergraph(h.n, tuple(sorted({e & ~t_mask for e in h.edges})))):
-            w = Fraction(a ** popcount(i_mask) * (b - a) ** (h.n - popcount(i_mask)), b**h.n)
-            den += w
-            if l_mask & ~i_mask == 0:
-                num += w
-        if den == 0:
-            raise InputError("conditioning event has probability zero")
-        return num / den
-    contains = containment_table(h.n, h.edges)
-    keep = [not contains[mask | t_mask] for mask in range(1 << h.n)]
-    table = _superset_weight_table(h.n, keep, q)
-    if table[0] == 0:
+    if h.n > DEFAULT_ENUM_CAP:
+        raise InputError(f"universe size {h.n} above the cap {DEFAULT_ENUM_CAP}")
+    link = nonstrict_link(h, t_mask)
+    a, c = q.numerator, q.denominator - q.numerator
+    den = independence_polynomial(link, a, c)
+    if den == 0:
         raise InputError("conditioning event has probability zero")
-    return Fraction(table[l_mask], table[0])
+    return Fraction(independence_polynomial(link, a, c, forced=l_mask), den)
 
 
 @dataclass
@@ -191,9 +188,9 @@ def fingerprint(h: Hypergraph, i_mask: int, q, alpha) -> int:
 def in_cover(h: Hypergraph, l_mask: int, t_mask: int, q, alpha) -> bool:
     """Lazy cover-membership query: is L in the cover attached to T?
 
-    Usable above the full-enumeration cap (the conditional probability
-    falls back to direct summation up to 25 vertices), at one exact
-    computation per query."""
+    Needs no 2^n table, so it answers above ``ZETA_CAP`` (up to
+    ``DEFAULT_ENUM_CAP`` vertices) at one exact weighted count of
+    independent sets per query (see :func:`conditional_prob`)."""
     q = _as_fraction(q, "q")
     alpha = _as_fraction(alpha, "alpha")
     if l_mask == 0:

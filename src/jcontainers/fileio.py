@@ -14,6 +14,7 @@ round-trips to an equal value.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import InputError
@@ -84,14 +85,22 @@ def write_hypergraph(h: Hypergraph) -> str:
 
 
 def parse_number(token: str, exact: bool):
-    """A decimal or an ``a/b`` rational; ``exact`` selects the target type."""
-    if "/" in token:
-        num, den = token.split("/", 1)
-        value = Fraction(int(num), int(den))
-        return value if exact else float(value)
-    if exact:
-        return Fraction(token)
-    return float(token)
+    """A finite decimal or an ``a/b`` rational; ``exact`` selects the target
+    type.  Anything else (a zero denominator, nan, inf, text) is an
+    InputError."""
+    try:
+        if "/" in token:
+            num, den = token.split("/", 1)
+            value = Fraction(int(num), int(den))
+            return value if exact else float(value)
+        if exact:
+            return Fraction(token)
+        value = float(token)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InputError(f"not a finite number: {token!r}") from exc
+    if not math.isfinite(value):
+        raise InputError(f"not a finite number: {token!r}")
+    return value
 
 
 def format_number(value) -> str:

@@ -360,6 +360,83 @@ def is_independent(h: Hypergraph, mask: int) -> bool:
     return all(e & ~mask != 0 for e in h.edges)
 
 
+def independence_polynomial(h: Hypergraph, x: int, y: int, forced: int = 0) -> int:
+    """Sum of x^|I| y^(n-|I|) over the independent sets I of h that contain
+    ``forced``: the homogeneous independence polynomial, evaluated exactly.
+
+    With x = a and y = b - a this is b^n times the probability that a
+    q-random vertex set (q = a/b) is independent and contains ``forced``.
+    No set is enumerated.  Forcing a vertex in removes it from its edges;
+    vertices in no edge contribute x + y each; each connected component is
+    counted on its own; inside a component the count branches on a vertex
+    of largest degree (out: its edges drop; in: it leaves its edges, and an
+    edge left empty kills the branch).  Sub-results are memoised for the
+    duration of the call."""
+    full = (1 << h.n) - 1
+    if forced & ~full:
+        raise InputError("forced set contains a vertex outside the universe")
+    edges = {e & ~forced for e in h.edges}
+    if 0 in edges:
+        return 0  # an edge lies inside the forced set
+    return x ** popcount(forced) * _independence_weight(full & ~forced, edges, x, y, {})
+
+
+def _independence_weight(verts: int, edges, x: int, y: int, memo: dict) -> int:
+    """Independence polynomial on the vertex set ``verts``; every edge is a
+    nonempty subset of it."""
+    comps: list[tuple[int, list[int]]] = []
+    for e in edges:
+        span, members, rest = e, [e], []
+        for c_span, c_members in comps:
+            if c_span & span:
+                span |= c_span
+                members += c_members
+            else:
+                rest.append((c_span, c_members))
+        rest.append((span, members))
+        comps = rest
+    result = 1
+    covered = 0
+    for span, members in comps:
+        covered |= span
+        result *= _component_weight(span, members, x, y, memo)
+    return result * (x + y) ** popcount(verts & ~covered)
+
+
+def _component_weight(span: int, edges: list[int], x: int, y: int, memo: dict) -> int:
+    """Independence polynomial of one connected component on the vertices
+    ``span`` (the union of its edges)."""
+    if len(edges) == 1:
+        return (x + y) ** popcount(span) - x ** popcount(span)
+    key = frozenset(edges)
+    value = memo.get(key)
+    if value is not None:
+        return value
+    singles = 0
+    for e in edges:
+        if e & (e - 1) == 0:
+            singles |= e
+    if singles:
+        # a one-vertex edge keeps its vertex out of every independent set
+        rest = [e for e in edges if not e & singles]
+        value = y ** popcount(singles) * _independence_weight(span & ~singles, rest, x, y, memo)
+    else:
+        degree: dict[int, int] = {}
+        for e in edges:
+            while e:
+                low = e & -e
+                degree[low] = degree.get(low, 0) + 1
+                e ^= low
+        bit = max(degree, key=degree.__getitem__)
+        out = [e for e in edges if not e & bit]
+        into = {e & ~bit for e in edges}
+        value = y * _independence_weight(span ^ bit, out, x, y, memo) + x * _independence_weight(
+            span ^ bit, into, x, y, memo
+        )
+    memo[key] = value
+    return value
+
+
 @dataclass(frozen=True)
 class Coloring:
     """Total edge colouring of a Graph with colours 1..r."""

@@ -359,7 +359,7 @@ def is_janson(h: Hypergraph, p, r, tol: float = DEFAULT_TOL) -> JansonVerdict:
         raise InputError("R must be nonnegative")
     if r == 0:
         return JansonVerdict(
-            "YES", _trivial_r_star(h, p, tol), None, None, 0, 0, tol, True,
+            "YES", janson_threshold(h, p, tol), None, None, 0, 0, tol, True,
             note="R = 0: every hypergraph qualifies by convention",
         )
     if not h.edges:
@@ -407,15 +407,6 @@ def is_janson(h: Hypergraph, p, r, tol: float = DEFAULT_TOL) -> JansonVerdict:
         "UNDECIDED", r_star, result.witness, lower, result.gap, result.iterations, tol, False,
         note="optimum sits within tolerance of the strict boundary",
     )
-
-
-def _trivial_r_star(h, p, tol):
-    if not h.edges:
-        return Fraction(0) if isinstance(p, (Fraction, int)) else 0.0
-    if any(popcount(e) <= 1 for e in h.edges):
-        return INF
-    result = min_lambda(h, p, tol)
-    return (Fraction(1) / result.value) if result.exact else 1.0 / result.value
 
 
 def require_verdict(h: Hypergraph, p, r, tol: float = DEFAULT_TOL, context: str = "") -> bool:

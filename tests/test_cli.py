@@ -141,6 +141,42 @@ class TestDispatch:
         via_flag = capsys.readouterr().out
         assert via_env == via_flag
 
+    @pytest.mark.parametrize(
+        "numbers",
+        [
+            ["--p", "1/0", "--R", "1/5"],
+            ["--p", "abc", "--R", "1/5"],
+            ["--p", "1/2", "--R", "nan"],
+            ["--p", "1/2", "--R", "1/5", "--tol", "-1"],
+            ["--p", "1/2", "--R", "1/5", "--tol", "nan"],
+        ],
+    )
+    def test_bad_numbers_exit_2(self, capsys, single_edge_file, numbers):
+        assert dispatch(["janson", "--hypergraph", single_edge_file] + numbers) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_unreadable_input_file_exits_2(self, tmp_path, capsys):
+        code = dispatch(["ramsey", "arrows", "--G", str(tmp_path), "--H", "K3", "--r", "2"])
+        assert code == 2
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["B", "Bprime"])
+    def test_seed_drives_sampled_events(self, tmp_path, capsys, kind):
+        # one colouring out of 2^5 (B) or 2^|E(G[S])| (B'): the colouring
+        # space is sampled, so the witness follows the seed
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("p = 1/5\ndelta = 0.3\nbudget_colorings = 1\n")
+        argv = ["ramsey", "event", "--kind", kind, "--G", "C5", "--H", "K3,K3", "--config", str(cfg)]
+        witnesses = {}
+        for seed in range(1, 6):
+            assert dispatch(argv + ["--seed", str(seed)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["holds"] is True and out["exhaustive"] is False
+            witnesses[seed] = out["witness"]
+        assert len({json.dumps(w, sort_keys=True) for w in witnesses.values()}) > 1
+        assert dispatch(argv + ["--seed", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["witness"] == witnesses[3]
+
     def test_event_command(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("r = 2\nk = 3\np = 1/5\ndelta = 0.3\n")

@@ -70,6 +70,54 @@ class TestConditionalProb:
                 num += w
         assert conditional_prob(h, l_mask, q) == num / den
 
+    @staticmethod
+    def summed(h, l_mask, q, t_mask):
+        """P(L in V_q | V_q independent in the link at T), summed set by set."""
+        link = Hypergraph(h.n, tuple(sorted({e & ~t_mask for e in h.edges})))
+        num = den = F(0)
+        for i_mask in independent_sets(link):
+            w = q ** popcount(i_mask) * (1 - q) ** (h.n - popcount(i_mask))
+            den += w
+            if l_mask & ~i_mask == 0:
+                num += w
+        return num, den
+
+    @given(hypergraphs(max_n=12, max_edges=24), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_summation_with_link(self, h, data):
+        q = F(data.draw(st.integers(1, 9)), 10)
+        l_mask = data.draw(st.integers(0, (1 << h.n) - 1))
+        t_mask = data.draw(st.integers(0, (1 << h.n) - 1)) & data.draw(
+            st.integers(0, (1 << h.n) - 1)
+        )
+        num, den = self.summed(h, l_mask, q, t_mask)
+        if den == 0:
+            with pytest.raises(InputError):
+                conditional_prob(h, l_mask, q, t_mask)
+        else:
+            assert conditional_prob(h, l_mask, q, t_mask) == num / den
+
+    def test_l_containing_a_link_edge_is_impossible(self):
+        h = Hypergraph.from_vertex_lists(5, [[0, 1, 2], [3, 4]])
+        assert conditional_prob(h, mask_of([1, 2, 4]), F(1, 3), mask_of([0])) == 0
+
+    def test_empty_link_edge_rejected(self):
+        h = Hypergraph.from_vertex_lists(5, [[0, 1], [2, 3, 4]])
+        with pytest.raises(InputError):
+            conditional_prob(h, mask_of([2]), F(1, 3), mask_of([0, 1]))
+
+    def test_non_matching_host_above_table_cap(self):
+        rng = SplitMix64(17)
+        h = random_hypergraph(rng, 17, 24)
+        l_mask, t_mask = mask_of([1, 6]), mask_of([3])
+        num, den = self.summed(h, l_mask, F(1, 8), t_mask)
+        assert num > 0
+        assert conditional_prob(h, l_mask, F(1, 8), t_mask) == num / den
+
+    def test_rejects_universe_above_cap(self):
+        with pytest.raises(InputError):
+            conditional_prob(Hypergraph(26, ()), 1, F(1, 2))
+
 
 class TestFingerprint:
     def test_empty_independent_set(self):

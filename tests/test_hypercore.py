@@ -11,6 +11,7 @@ from jcontainers.hypercore import (
     VertexMap,
     bits_of,
     edgewise_include,
+    independence_polynomial,
     independent_sets,
     induced_sub,
     induced_sub_with_map,
@@ -203,6 +204,33 @@ class TestIndependentSets:
         got = list(independent_sets(h))
         expected = [m for m in range(1 << h.n) if is_independent(h, m)]
         assert got == expected  # same sets, same lexicographic-by-bits order
+
+
+class TestIndependencePolynomial:
+    @staticmethod
+    def brute_force(h, x, y, forced):
+        return sum(
+            x ** popcount(i) * y ** (h.n - popcount(i))
+            for i in independent_sets(h)
+            if forced & ~i == 0
+        )
+
+    @given(hypergraphs(max_n=12, max_edges=24), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, h, data):
+        x = data.draw(st.integers(1, 7))
+        y = data.draw(st.integers(0, 7))
+        forced = data.draw(st.integers(0, (1 << h.n) - 1)) & data.draw(
+            st.integers(0, (1 << h.n) - 1)
+        )
+        assert independence_polynomial(h, x, y, forced) == self.brute_force(h, x, y, forced)
+
+    def test_empty_edge_gives_zero(self):
+        assert independence_polynomial(Hypergraph(3, (0,)), 1, 1) == 0
+
+    def test_rejects_forced_vertex_outside_universe(self):
+        with pytest.raises(InputError):
+            independence_polynomial(Hypergraph(3, ()), 1, 1, mask(3))
 
 
 class TestRestrictEdges:
