@@ -168,11 +168,11 @@ def load_config(path: str) -> ExperimentConfig:
             raise InputError(f"line {lineno}: unknown key {key!r}")
         caster = CONFIG_KEYS[key]
         try:
-            if caster is Fraction:
-                raw[key] = fileio.parse_number(value, exact=True)
+            if caster in (Fraction, float):
+                raw[key] = fileio.parse_number(value, exact=caster is Fraction)
             else:
                 raw[key] = caster(value)
-        except ValueError as exc:
+        except (ValueError, InputError) as exc:
             raise InputError(f"line {lineno}: bad value for {key}: {exc}") from exc
     extras = {k: raw.pop(k) for k in list(raw) if k in STRUCT_KEYS}
     if "C" in raw:

@@ -12,6 +12,16 @@ Three layers:
   (zeta) transform over the independence indicator, and a single query
   (conditional_prob, in_cover) from a weighted count of independent sets.
 
+  The family is built with integer work over the 2^n masks.  The threshold
+  test P(L | independent) <= bar^|L|, bar = u/v, becomes
+  table[L] <= floor(u^k table[0] / v^k) with k = |L|, one bound per size.
+  The fingerprints of all independent sets come from one table: each
+  satisfying S carries the key (|S| << n) | S, and a max-fold over the
+  submask lattice gives every mask its largest key, which is the
+  maximum-cardinality, numerically largest satisfying submask.  Each
+  fingerprint's table is built once and serves its cover, its containment
+  table and the strict-inequality samples.
+
 * Cover certificates.  A cover of a target hypergraph whose members all have
   size at least 2 bounds the Janson threshold from above by its p-weight
   sum of p^|E| (Cauchy-Schwarz against the cover degrees), turning a cheap
@@ -34,6 +44,7 @@ reports the resulting independence failures instead.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -65,6 +76,52 @@ def _as_fraction(x, name: str) -> Fraction:
     raise InputError(f"{name} must be an exact rational on this path")
 
 
+def _popcounts(n: int) -> list[int]:
+    """counts[mask] = |mask| for every mask on n vertices."""
+    counts = [0]
+    for _ in range(n):
+        counts += [c + 1 for c in counts]
+    return counts
+
+
+def _fold_pairs(table: list, n: int, combine, into_subset: bool) -> None:
+    """For every bit b and every mask m without b, in bit order and in
+    place: table[m | b] = combine(table[m | b], table[m]), which folds each
+    entry over its submasks, or with ``into_subset``
+    table[m] = combine(table[m], table[m | b]), which folds over supersets.
+
+    ``combine`` maps two equal-length lists to the combined values.  The
+    pairs are taken as list slices (strided for low bits, blocks for high
+    bits), so the interpreter loops about 2^(n/2) times per bit, not 2^n."""
+    size = 1 << n
+    for bit in range(n):
+        half = 1 << bit
+        step = half << 1
+        if half * half <= size // 2:
+            pairs = [(slice(off, size, step), slice(off + half, size, step)) for off in range(half)]
+        else:
+            pairs = [(slice(s, s + half), slice(s + half, s + step)) for s in range(0, size, step)]
+        for low, high in pairs:
+            if into_subset:
+                table[low] = combine(table[low], table[high])
+            else:
+                table[high] = combine(table[high], table[low])
+
+
+def _either(xs: list, ys: list):
+    return map(operator.or_, xs, ys)
+
+
+def _sum(xs: list, ys: list):
+    return map(operator.add, xs, ys)
+
+
+def _larger(xs: list, ys: list) -> list:
+    if not any(ys):  # the values are nonnegative
+        return xs
+    return [x if x > y else y for x, y in zip(xs, ys)]
+
+
 def containment_table(n: int, edges) -> list[bool]:
     """table[mask] is True when some edge is a subset of mask."""
     if n > ZETA_CAP:
@@ -72,31 +129,17 @@ def containment_table(n: int, edges) -> list[bool]:
     table = [False] * (1 << n)
     for e in edges:
         table[e] = True
-    for bit in range(n):
-        b = 1 << bit
-        for mask in range(1 << n):
-            if mask & b and table[mask ^ b]:
-                table[mask] = True
+    _fold_pairs(table, n, _either, into_subset=False)
     return table
 
 
-def _superset_weight_table(n: int, keep: list[bool], q: Fraction) -> list[int]:
+def _superset_weight_table(n: int, keep: list[bool], q: Fraction, counts: list[int]) -> list[int]:
     """table[mask] = sum over kept supersets S of mask of a^|S| (b-a)^(n-|S|),
     where q = a/b; the common denominator b^n cancels in every ratio."""
     a, b = q.numerator, q.denominator
-    c = b - a
-    pow_a = [a**k for k in range(n + 1)]
-    pow_c = [c**k for k in range(n + 1)]
-    table = [0] * (1 << n)
-    for mask in range(1 << n):
-        if keep[mask]:
-            k = popcount(mask)
-            table[mask] = pow_a[k] * pow_c[n - k]
-    for bit in range(n):
-        bset = 1 << bit
-        for mask in range((1 << n) - 1, -1, -1):
-            if not mask & bset:
-                table[mask] += table[mask | bset]
+    weight = [a**k * (b - a) ** (n - k) for k in range(n + 1)]
+    table = [weight[k] if kept else 0 for kept, k in zip(keep, counts)]
+    _fold_pairs(table, n, _sum, into_subset=True)
     return table
 
 
@@ -123,30 +166,36 @@ def conditional_prob(h: Hypergraph, l_mask: int, q, t_mask: int = 0) -> Fraction
 
 @dataclass
 class _ZetaContext:
-    """Shared state for many conditional-probability queries on one link."""
+    """Superset weight table of one link, with the fingerprint/cover
+    inequality in integer form.
 
-    n: int
+    With bar = (1 - alpha) q = u/v, P(L in V_q | independent) <= bar^|L|
+    reads table[L] v^k <= u^k table[0] for k = |L|; as table[L] is an
+    integer, that is table[L] <= limit[k] = floor(u^k table[0] / v^k)."""
+
     table: list[int]
+    limit: list[int]
 
     def prob(self, l_mask: int) -> Fraction:
         return Fraction(self.table[l_mask], self.table[0])
 
 
-def _context_for(n: int, ind_of_union, t_mask: int, q: Fraction) -> _ZetaContext:
-    keep = [ind_of_union(mask | t_mask) for mask in range(1 << n)]
-    return _ZetaContext(n, _superset_weight_table(n, keep, q))
+def _context_for(
+    n: int, independent: list[bool], t_mask: int, q: Fraction, bar: Fraction, counts: list[int]
+) -> _ZetaContext:
+    """The context of the non-strict link at T: S is kept when S | T is
+    independent."""
+    keep = [independent[m | t_mask] for m in range(1 << n)]
+    table = _superset_weight_table(n, keep, q, counts)
+    u, v = bar.numerator, bar.denominator
+    return _ZetaContext(table, [table[0] * u**k // v**k for k in range(n + 1)])
 
 
-def _satisfying_table(ctx: _ZetaContext, n: int, q: Fraction, alpha: Fraction) -> list[bool]:
+def _satisfying_table(ctx: _ZetaContext, counts: list[int]) -> list[bool]:
     """table[mask] is True when P(mask in V_q | independent) is at most
     ((1-alpha) q)^|mask| -- the fingerprint inequality."""
-    bar = (1 - alpha) * q
-    thresholds = [bar**k for k in range(n + 1)]
-    den = ctx.table[0]
-    return [
-        Fraction(ctx.table[m], den) <= thresholds[popcount(m)]
-        for m in range(1 << n)
-    ]
+    limit = ctx.limit
+    return [t <= limit[k] for t, k in zip(ctx.table, counts)]
 
 
 def fingerprint_in_table(sat: list[bool], i_mask: int) -> int:
@@ -171,6 +220,20 @@ def fingerprint_in_table(sat: list[bool], i_mask: int) -> int:
         sub = (sub - 1) & i_mask
 
 
+def _fingerprint_table(sat: list[bool], n: int, counts: list[int]) -> list[int]:
+    """fp[mask] = fingerprint_in_table(sat, mask) for every mask, in one pass.
+
+    Each satisfying S carries the key (|S| << n) | S; folding keys up to
+    supersets with max leaves every mask the largest key among its
+    satisfying submasks: one of maximum cardinality, ties going to the
+    numerically largest, which is the submask that fingerprint_in_table
+    meets first in descending order."""
+    keys = [(k << n) | m if s else 0 for m, (s, k) in enumerate(zip(sat, counts))]
+    _fold_pairs(keys, n, _larger, into_subset=False)
+    low = (1 << n) - 1
+    return [key & low for key in keys]
+
+
 def fingerprint(h: Hypergraph, i_mask: int, q, alpha) -> int:
     """Fingerprint of an independent set of h (see fingerprint_in_table)."""
     q = _as_fraction(q, "q")
@@ -179,10 +242,10 @@ def fingerprint(h: Hypergraph, i_mask: int, q, alpha) -> int:
         raise InputError("parameters must satisfy 0 < q <= alpha < 1")
     if not is_independent(h, i_mask):
         raise InputError("fingerprints are defined for independent sets only")
-    contains = containment_table(h.n, h.edges)
-    ctx = _context_for(h.n, lambda m: not contains[m], 0, q)
-    sat = _satisfying_table(ctx, h.n, q, alpha)
-    return fingerprint_in_table(sat, i_mask)
+    counts = _popcounts(h.n)
+    independent = [not c for c in containment_table(h.n, h.edges)]
+    ctx = _context_for(h.n, independent, 0, q, (1 - alpha) * q, counts)
+    return fingerprint_in_table(_satisfying_table(ctx, counts), i_mask)
 
 
 def in_cover(h: Hypergraph, l_mask: int, t_mask: int, q, alpha) -> bool:
@@ -239,16 +302,15 @@ def hardcover_family(
         raise InputError("parameters must satisfy 0 < q <= alpha < 1")
     if h.n > ZETA_CAP:
         raise InputError(f"full enumeration capped at {ZETA_CAP} vertices")
-    contains = containment_table(h.n, h.edges)
-    ind = lambda m: not contains[m]
+    independent = [not c for c in containment_table(h.n, h.edges)]
     return _hardcover_core(
-        h.n, ind, h.edges, q, alpha, paper_literal, verify, strict_samples, seed
+        h.n, independent, h.edges, q, alpha, paper_literal, verify, strict_samples, seed
     )
 
 
 def _hardcover_core(
     n: int,
-    ind,
+    independent: list[bool],
     edges,
     q: Fraction,
     alpha: Fraction,
@@ -257,28 +319,36 @@ def _hardcover_core(
     strict_samples: int,
     seed: int,
 ) -> HardcoverFamily:
-    base_ctx = _context_for(n, ind, 0, q)
+    """The family of a down-closed set system given by its indicator
+    ``independent[mask]``."""
+    size = 1 << n
+    counts = _popcounts(n)
+    bar = (1 - alpha) * q
+    base_ctx = _context_for(n, independent, 0, q, bar, counts)
     if base_ctx.table[0] == 0:
         # no independent sets at all (the empty edge is present)
         return HardcoverFamily(n, q, alpha, paper_literal, (), {}, {})
-    sat = _satisfying_table(base_ctx, n, q, alpha)
-    phi = {}
-    for i_mask in range(1 << n):
-        if ind(i_mask):
-            phi[i_mask] = fingerprint_in_table(sat, i_mask)
+    # every submask of an independent set is independent, so dependent
+    # masks (satisfying vacuously, at probability 0) can drop out
+    sat = _satisfying_table(base_ctx, counts)
+    fp = _fingerprint_table([s and i for s, i in zip(sat, independent)], n, counts)
+    phi = {i_mask: fp[i_mask] for i_mask in range(size) if independent[i_mask]}
     fingerprints = tuple(sorted(set(phi.values())))
-    bar = (1 - alpha) * q
+    lo = 1 if not paper_literal else 0
+    contexts = {}
     covers = {}
     cover_contains = {}
     for t_mask in fingerprints:
-        ctx = _context_for(n, ind, t_mask, q)
-        members = []
-        lo = 1 if not paper_literal else 0
-        thresholds = [bar**k for k in range(n + 1)]
-        for l_mask in range(lo, 1 << n):
-            if ctx.prob(l_mask) <= thresholds[popcount(l_mask)]:
-                members.append(l_mask)
-        covers[t_mask] = tuple(members)
+        ctx = contexts[t_mask] = (
+            base_ctx if t_mask == 0 else _context_for(n, independent, t_mask, q, bar, counts)
+        )
+        limit = ctx.limit
+        members = tuple([
+            l_mask
+            for l_mask, t, k in zip(range(lo, size), ctx.table[lo:], counts[lo:])
+            if t <= limit[k]
+        ])
+        covers[t_mask] = members
         cover_contains[t_mask] = containment_table(n, members)
 
     family = HardcoverFamily(n, q, alpha, paper_literal, fingerprints, phi, covers)
@@ -286,10 +356,11 @@ def _hardcover_core(
         return family
 
     size_cap = q * n / alpha
+    too_large = {t_mask: popcount(t_mask) > size_cap for t_mask in fingerprints}
     for i_mask, t_mask in phi.items():
         if t_mask & ~i_mask:
             family.violations.append(f"fingerprint {t_mask:b} not inside {i_mask:b}")
-        if popcount(t_mask) > size_cap:
+        if too_large[t_mask]:
             family.violations.append(
                 f"fingerprint {t_mask:b} larger than q n / alpha = {size_cap}"
             )
@@ -305,12 +376,12 @@ def _hardcover_core(
                 family.violations.append(
                     f"edge {e:b} missing from the cover at T = {t_mask:b}"
                 )
-    # strict inequality on sampled non-members, re-derived per query
+    # strict inequality on sampled non-members, re-derived per query in
+    # rationals rather than from the integer limits that chose the members
     rng = SplitMix64(seed)
     checked = 0
     if fingerprints:
         ts = list(fingerprints)
-        contexts = {t: _context_for(n, ind, t, q) for t in ts}
         member_sets = {t: set(covers[t]) for t in ts}
         attempts = 0
         while checked < strict_samples and attempts < 50 * max(1, strict_samples):
@@ -599,10 +670,10 @@ def non_janson_containers(
         )
 
     minimals = minimal_members(h.n, is_good)
-    ind = lambda m: not in_upset(minimals, m)
+    uncertified = [not in_upset(minimals, m) for m in range(1 << h.n)]
 
     fam_hc = _hardcover_core(
-        h.n, ind, None, q + p, Fraction(1, 2), False, False, 0, 0
+        h.n, uncertified, None, q + p, Fraction(1, 2), False, False, 0, 0
     )
     assignments = {}
     incomplete = []
@@ -634,7 +705,7 @@ def non_janson_containers(
 
     # item (i): every uncertified L fits inside some container
     for l_mask in range(1 << h.n):
-        if not in_upset(minimals, l_mask):
+        if uncertified[l_mask]:
             if not any(l_mask & ~x == 0 for x in containers):
                 msg = f"uncovered vertex set {l_mask:b}"
                 if incomplete:
@@ -743,9 +814,9 @@ def extension_containers(
         )
 
     minimals = minimal_members(n, is_good)
-    ind = lambda m: not in_upset(minimals, m)
+    uncertified = [not in_upset(minimals, m) for m in range(1 << n)]
 
-    fam_hc = _hardcover_core(n, ind, None, q, Fraction(1, 2), False, False, 0, 0)
+    fam_hc = _hardcover_core(n, uncertified, None, q, Fraction(1, 2), False, False, 0, 0)
     assignments = {}
     incomplete = []
     violations = []
@@ -775,7 +846,7 @@ def extension_containers(
     )
 
     for l_mask in range(1 << n):
-        if not in_upset(minimals, l_mask):
+        if uncertified[l_mask]:
             if not any(l_mask & ~x == 0 for x in containers):
                 msg = f"uncovered index set {l_mask:b}"
                 if incomplete:

@@ -8,6 +8,9 @@ Measure file:     one ``w <edge-index> <value>`` line per positive weight;
                   values are decimals or ``a/b`` rationals; edge indices refer
                   to the host hypergraph file's edge order.
 
+A repeated edge or weight line, a non-integer token where an integer is
+expected and a negative vertex are InputErrors that name their line.
+
 Writers emit exactly what the parsers accept, so every emitted file
 round-trips to an equal value.
 """
@@ -29,6 +32,21 @@ def _meaningful_lines(text: str):
             yield lineno, line
 
 
+def _integer(token: str, lineno: int, what: str) -> int:
+    """A decimal integer token; anything else is an InputError at lineno."""
+    try:
+        return int(token)
+    except ValueError:
+        raise InputError(f"line {lineno}: {what} must be an integer, got {token!r}") from None
+
+
+def _vertex(token: str, lineno: int) -> int:
+    v = _integer(token, lineno, "a vertex")
+    if v < 0:
+        raise InputError(f"line {lineno}: vertex {v} is negative")
+    return v
+
+
 def parse_graph(text: str) -> Graph:
     lines = list(_meaningful_lines(text))
     if not lines:
@@ -37,15 +55,19 @@ def parse_graph(text: str) -> Graph:
     parts = header.split()
     if len(parts) != 2 or parts[0] != "graph":
         raise InputError(f"line {lineno}: expected 'graph <n>'")
-    n = int(parts[1])
+    n = _integer(parts[1], lineno, "the vertex count")
     edges = []
+    seen = set()
     for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "e":
             raise InputError(f"line {lineno}: expected 'e <u> <v>'")
-        u, v = int(parts[1]), int(parts[2])
+        u, v = _vertex(parts[1], lineno), _vertex(parts[2], lineno)
         if not u < v:
             raise InputError(f"line {lineno}: edges must satisfy u < v")
+        if (u, v) in seen:
+            raise InputError(f"line {lineno}: duplicate edge {u} {v}")
+        seen.add((u, v))
         edges.append((u, v))
     return Graph.from_edges(n, edges)
 
@@ -64,16 +86,21 @@ def parse_hypergraph(text: str) -> Hypergraph:
     parts = header.split()
     if len(parts) != 2 or parts[0] != "hypergraph":
         raise InputError(f"line {lineno}: expected 'hypergraph <n>'")
-    n = int(parts[1])
+    n = _integer(parts[1], lineno, "the vertex count")
     edges = []
+    seen = set()
     for lineno, line in lines[1:]:
         parts = line.split()
         if not parts or parts[0] != "E":
             raise InputError(f"line {lineno}: expected 'E <v1> ... <vk>'")
-        verts = [int(p) for p in parts[1:]]
+        verts = [_vertex(p, lineno) for p in parts[1:]]
         if any(a >= b for a, b in zip(verts, verts[1:])):
             raise InputError(f"line {lineno}: vertices must be strictly increasing")
-        edges.append(mask_of(verts))
+        edge = mask_of(verts)
+        if edge in seen:
+            raise InputError(f"line {lineno}: duplicate edge {' '.join(parts[1:])}")
+        seen.add(edge)
+        edges.append(edge)
     return Hypergraph(n, tuple(edges))
 
 
@@ -112,13 +139,17 @@ def format_number(value) -> str:
 def parse_measure(text: str, host: Hypergraph, exact: bool = True) -> Measure:
     zero = Fraction(0) if exact else 0.0
     weights = [zero] * len(host.edges)
+    seen = set()
     for lineno, line in _meaningful_lines(text):
         parts = line.split()
         if len(parts) != 3 or parts[0] != "w":
             raise InputError(f"line {lineno}: expected 'w <edge-index> <value>'")
-        idx = int(parts[1])
+        idx = _integer(parts[1], lineno, "the edge index")
         if not 0 <= idx < len(host.edges):
             raise InputError(f"line {lineno}: edge index {idx} out of range")
+        if idx in seen:
+            raise InputError(f"line {lineno}: duplicate weight for edge {idx}")
+        seen.add(idx)
         weights[idx] = parse_number(parts[2], exact)
     return Measure(host, tuple(weights), exact)
 

@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import BudgetError, InputError, UndecidedError
 from .hypercore import Hypergraph, bits_of, popcount, restrict_edges
 from .measures import (
@@ -102,6 +100,8 @@ def overlap_matrix(h: Hypergraph, p, exact: bool):
                 row.append(base**c - 1 - c * inv)
             rows.append(row)
         return rows
+    import numpy as np  # loaded on the Frank-Wolfe path only
+
     base = 1.0 + 1.0 / p
     q = np.empty((m, m))
     for i in range(m):
@@ -199,6 +199,8 @@ def min_lambda_fw(
     gap certifies the optimum within relative ``tol``; by convexity the
     simplex minimum is at least (primal - gap).
     """
+    import numpy as np  # loaded on the Frank-Wolfe path only
+
     m = len(h.edges)
     if m == 0:
         raise InputError("minimum needs at least one edge")

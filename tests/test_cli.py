@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 
+import jcontainers
 from jcontainers import fileio
 from jcontainers.cli import dispatch, load_config, load_graph
 from jcontainers.errors import InputError
@@ -46,6 +50,37 @@ class TestFileFormats:
     def test_hypergraph_rejects_unsorted_edge(self):
         with pytest.raises(InputError):
             fileio.parse_hypergraph("hypergraph 3\nE 2 1\n")
+
+    @pytest.mark.parametrize(
+        "parse, text, line",
+        [
+            (fileio.parse_graph, "graph x\n", 1),
+            (fileio.parse_graph, "graph 3\ne 0 x\n", 2),
+            (fileio.parse_hypergraph, "hypergraph x\n", 1),
+            (fileio.parse_hypergraph, "hypergraph 3\nE 0 x\n", 2),
+            (fileio.parse_hypergraph, "hypergraph 3\nE -1 2\n", 2),
+            (lambda t: fileio.parse_measure(t, Hypergraph(2, (3,))), "w x 1\n", 1),
+        ],
+    )
+    def test_non_integer_tokens_report_line(self, parse, text, line):
+        with pytest.raises(InputError, match=f"line {line}:"):
+            parse(text)
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (fileio.parse_graph, "graph 3\ne 0 1\ne 0 1\n"),
+            (fileio.parse_hypergraph, "hypergraph 3\nE 0 1\nE 0 1\n"),
+        ],
+    )
+    def test_duplicate_edge_reports_line(self, parse, text):
+        with pytest.raises(InputError, match="line 3: duplicate edge"):
+            parse(text)
+
+    def test_measure_rejects_duplicate_weight(self):
+        h = Hypergraph.from_vertex_lists(3, [[0, 1], [1, 2]])
+        with pytest.raises(InputError, match="line 2: duplicate weight"):
+            fileio.parse_measure("w 0 1/2\nw 0 1/3\n", h)
 
     def test_named_graphs(self):
         assert load_graph("K4") == Graph.complete(4)
@@ -154,6 +189,25 @@ class TestDispatch:
     def test_bad_numbers_exit_2(self, capsys, single_edge_file, numbers):
         assert dispatch(["janson", "--hypergraph", single_edge_file] + numbers) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "x"])
+    def test_bad_float_config_value_exits_2(self, tmp_path, capsys, value):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"p = 1/5\ndelta = {value}\n")
+        argv = ["ramsey", "event", "--kind", "Bprime", "--G", "C5", "--H", "K3,K3"]
+        assert dispatch(argv + ["--config", str(cfg)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["bad.hg", "bad.g"])
+    def test_malformed_input_file_exits_2(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_text("hypergraph x\n" if name == "bad.hg" else "graph 4\ne 0 x\n")
+        if name == "bad.hg":
+            argv = ["janson", "--hypergraph", str(path), "--p", "1/2", "--R", "1/5"]
+        else:
+            argv = ["ramsey", "arrows", "--G", str(path), "--H", "K3", "--r", "2"]
+        assert dispatch(argv) == 2
+        assert "input error" in capsys.readouterr().err
 
     def test_unreadable_input_file_exits_2(self, tmp_path, capsys):
         code = dispatch(["ramsey", "arrows", "--G", str(tmp_path), "--H", "K3", "--r", "2"])
@@ -316,3 +370,23 @@ class TestDeterminism:
             second = capsys.readouterr().out
             assert first_code == second_code
             assert first == second and first
+
+
+class TestImports:
+    def test_numpy_loads_only_on_the_frank_wolfe_path(self):
+        code = (
+            "import sys\n"
+            "import jcontainers.cli\n"
+            "assert 'numpy' not in sys.modules\n"
+            "from jcontainers.hypercore import Hypergraph\n"
+            "from jcontainers.janson import is_janson\n"
+            "verdict = is_janson(Hypergraph(4, (3, 6, 12)), 0.5, 0.01)\n"
+            "print(verdict.answer, verdict.exact, 'numpy' in sys.modules)\n"
+        )
+        src_dir = os.path.dirname(os.path.dirname(jcontainers.__file__))
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["YES", "False", "True"]

@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from jcontainers.containers import (
     CoverCertificate,
+    _fingerprint_table,
+    _popcounts,
     conditional_prob,
     cover_certificate,
     extension_containers,
     fingerprint,
+    fingerprint_in_table,
     hardcover_family,
     in_upset,
     minimal_members,
@@ -156,6 +159,61 @@ class TestFingerprint:
             cand = t_mask | sub
             assert conditional_prob(h, cand, q) > bar ** popcount(cand)
             sub = (sub - 1) & rest
+
+
+def reference_family(h, q, alpha, paper_literal):
+    """fingerprints, phi and covers from their definitions: a plain
+    superset-sum loop for the weights, Fraction comparisons for the
+    inequality and a submask scan per independent set."""
+    n = h.n
+    a, c = q.numerator, q.denominator - q.numerator
+    bar = (1 - alpha) * q
+    independent = [is_independent(h, m) for m in range(1 << n)]
+
+    def satisfying(t_mask):
+        w = [
+            a ** popcount(s) * c ** (n - popcount(s)) if independent[s | t_mask] else 0
+            for s in range(1 << n)
+        ]
+        for bit in range(n):
+            for m in range(1 << n):
+                if not m >> bit & 1:
+                    w[m] += w[m | 1 << bit]
+        return [F(w[m], w[0]) <= bar ** popcount(m) for m in range(1 << n)]
+
+    sat = satisfying(0)
+    phi = {i: fingerprint_in_table(sat, i) for i in range(1 << n) if independent[i]}
+    fingerprints = tuple(sorted(set(phi.values())))
+    lo = 0 if paper_literal else 1
+    covers = {}
+    for t_mask in fingerprints:
+        sat_t = satisfying(t_mask)
+        covers[t_mask] = tuple(m for m in range(lo, 1 << n) if sat_t[m])
+    return fingerprints, phi, covers
+
+
+class TestOnePassTables:
+    @given(st.integers(0, 10), st.integers(0, 2**32), st.sampled_from([1, 8, 32, 56]))
+    @settings(max_examples=60, deadline=None)
+    def test_fingerprint_table_matches_submask_scan(self, n, seed, density):
+        rng = SplitMix64(seed)
+        sat = [m == 0 or rng.below(64) < density for m in range(1 << n)]
+        fp = _fingerprint_table(sat, n, _popcounts(n))
+        assert fp == [fingerprint_in_table(sat, m) for m in range(1 << n)]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_family_matches_reference(self, seed):
+        # dense hosts give many fingerprints; a one-vertex edge removes its
+        # vertex from every independent set
+        rng = SplitMix64(seed)
+        n = 4 + rng.below(7)
+        h = random_hypergraph(rng, n, rng.below(3 * n), sizes=(1, 2, 2, 3))
+        q, alpha = [(F(1, 8), F(1, 2)), (F(1, 4), F(1, 3)), (F(2, 5), F(2, 5))][seed % 3]
+        paper_literal = seed % 2 == 1
+        fam = hardcover_family(h, q, alpha, paper_literal=paper_literal, strict_samples=4)
+        assert (fam.fingerprints, fam.phi, fam.covers) == reference_family(
+            h, q, alpha, paper_literal
+        )
 
 
 class TestHardcoverFamily:
