@@ -5,7 +5,8 @@ extend-containers, ramsey (arrows / event / mc).  Structured results go to
 stdout as JSON (CSV for trial streams); ``--out DIR`` additionally persists a
 run record with input digests and the artifacts.  Exit codes: 0 success,
 1 property/theorem violation detected, 2 invalid input, 3 budget exceeded,
-4 an undecided verdict.
+4 an undecided verdict, 5 internal error (an unexpected exception, reported
+on one stderr line).
 
 Stdout is deterministic for a fixed seed and config: rationals are printed
 as ``a/b`` strings, keys are sorted, and timestamps live only in the run
@@ -35,7 +36,7 @@ from .containers import (
 )
 from .copies import extension_hypergraph, induced_copy_hypergraph
 from .errors import BudgetError, CertificateViolation, InputError, UndecidedError
-from .hypercore import Graph, bits_of
+from .hypercore import UNIVERSE_CAP, Graph, bits_of
 from .janson import is_janson
 from .ramsey import (
     ExperimentConfig,
@@ -52,6 +53,7 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_UNDECIDED = 4
+EXIT_INTERNAL = 5
 
 _NAMED_GRAPH = re.compile(r"^([KPCE])(\d+)$")
 
@@ -61,6 +63,8 @@ def load_graph(spec: str) -> Graph:
     m = _NAMED_GRAPH.match(spec)
     if m:
         kind, num = m.group(1), int(m.group(2))
+        if num > UNIVERSE_CAP:
+            raise InputError(f"graph {spec} exceeds the universe cap {UNIVERSE_CAP}")
         if kind == "K":
             return Graph.complete(num)
         if kind == "P":
@@ -147,6 +151,18 @@ CONFIG_KEYS = {
 }
 
 STRUCT_KEYS = {"usize", "ssize", "F", "w", "kind", "colorings", "Rprime"}
+COUNT_KEYS = {key for key, caster in CONFIG_KEYS.items() if caster is int} - {"seed"}
+
+
+def _range_problem(key: str, value):
+    """Why a parsed config value is out of range, or None."""
+    if key == "p" and not 0 < value <= 1:
+        return "p must lie in (0, 1]"
+    if key == "delta" and not value > 0:
+        return "delta must be positive"
+    if key in COUNT_KEYS and value < 0:
+        return f"{key} must be nonnegative"
+    return None
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -154,7 +170,9 @@ def load_config(path: str) -> ExperimentConfig:
 
     Derived constants follow the canonical formulas unless a key overrides
     them, which flips the scaled flag.  Unknown keys and malformed lines
-    are rejected with their line number."""
+    are rejected with their line number, and so are a p outside (0, 1], a
+    delta that is not positive and a negative count (every integer key but
+    the seed)."""
     raw = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
@@ -174,6 +192,9 @@ def load_config(path: str) -> ExperimentConfig:
                 raw[key] = caster(value)
         except (ValueError, InputError) as exc:
             raise InputError(f"line {lineno}: bad value for {key}: {exc}") from exc
+        problem = _range_problem(key, raw[key])
+        if problem:
+            raise InputError(f"line {lineno}: {problem}, got {value}")
     extras = {k: raw.pop(k) for k in list(raw) if k in STRUCT_KEYS}
     if "C" in raw:
         raw["big_c"] = raw.pop("C")
@@ -420,10 +441,6 @@ def cmd_ramsey(args):
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="jc", description=__doc__)
     top.add_argument("--out", help="directory for the run record and artifacts")
-    top.add_argument(
-        "--jobs", type=int, default=1,
-        help="parallelism hint for batch drivers (current drivers are serial)",
-    )
     sub = top.add_subparsers(dest="command", required=True)
 
     pj = sub.add_parser("janson", help="decide the (p, R) property with certificates")
@@ -499,30 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def dispatch(argv) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code else EXIT_OK
+def _run(args, argv) -> int:
+    """Run the chosen handler, print its payload and, with ``--out``,
+    persist the run record; returns the exit code."""
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    try:
-        code, payload_text, extra_files = args.handler(args)
-    except InputError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return EXIT_INPUT
-    except CertificateViolation as exc:
-        sys.stderr.write(f"certificate violation: {exc}\n")
-        return EXIT_VIOLATION
-    except BudgetError as exc:
-        sys.stderr.write(f"budget exceeded: {exc}\n")
-        return EXIT_BUDGET
-    except UndecidedError as exc:
-        sys.stderr.write(f"undecided: {exc}\n")
-        return EXIT_UNDECIDED
-    except OSError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return EXIT_INPUT
+    code, payload_text, extra_files = args.handler(args)
     sys.stdout.write(payload_text)
     if args.out:
         digests = {}
@@ -540,6 +538,35 @@ def dispatch(argv) -> int:
         )
         persist(args.out, record, payload_text, extra_files)
     return code
+
+
+def dispatch(argv) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_INPUT if exc.code else EXIT_OK
+    try:
+        return _run(args, argv)
+    except InputError as exc:
+        sys.stderr.write(f"input error: {exc}\n")
+        return EXIT_INPUT
+    except CertificateViolation as exc:
+        sys.stderr.write(f"certificate violation: {exc}\n")
+        return EXIT_VIOLATION
+    except BudgetError as exc:
+        sys.stderr.write(f"budget exceeded: {exc}\n")
+        return EXIT_BUDGET
+    except UndecidedError as exc:
+        sys.stderr.write(f"undecided: {exc}\n")
+        return EXIT_UNDECIDED
+    except OSError as exc:
+        sys.stderr.write(f"input error: {exc}\n")
+        return EXIT_INPUT
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {message}\n")
+        return EXIT_INTERNAL
 
 
 def main():

@@ -337,7 +337,6 @@ def _hardcover_core(
     lo = 1 if not paper_literal else 0
     contexts = {}
     covers = {}
-    cover_contains = {}
     for t_mask in fingerprints:
         ctx = contexts[t_mask] = (
             base_ctx if t_mask == 0 else _context_for(n, independent, t_mask, q, bar, counts)
@@ -349,12 +348,12 @@ def _hardcover_core(
             if t <= limit[k]
         ])
         covers[t_mask] = members
-        cover_contains[t_mask] = containment_table(n, members)
 
     family = HardcoverFamily(n, q, alpha, paper_literal, fingerprints, phi, covers)
     if not verify:
         return family
 
+    cover_contains = {t_mask: containment_table(n, covers[t_mask]) for t_mask in fingerprints}
     size_cap = q * n / alpha
     too_large = {t_mask: popcount(t_mask) > size_cap for t_mask in fingerprints}
     for i_mask, t_mask in phi.items():

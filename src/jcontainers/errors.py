@@ -1,8 +1,9 @@
 """Error taxonomy shared across the package.
 
 Exit-code mapping used by the CLI: InputError -> 2, BudgetError -> 3,
-UndecidedError -> 4.  Theorem violations are reported in-band (families carry
-a ``violations`` list) and map to exit code 1.
+UndecidedError -> 4, any other exception -> 5 (internal error).  Theorem
+violations are reported in-band (families carry a ``violations`` list) and
+map to exit code 1, as does a CertificateViolation.
 """
 
 

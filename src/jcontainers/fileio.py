@@ -9,7 +9,8 @@ Measure file:     one ``w <edge-index> <value>`` line per positive weight;
                   to the host hypergraph file's edge order.
 
 A repeated edge or weight line, a non-integer token where an integer is
-expected and a negative vertex are InputErrors that name their line.
+expected, a vertex count outside [0, UNIVERSE_CAP] and a vertex outside
+[0, n) are InputErrors that name their line.
 
 Writers emit exactly what the parsers accept, so every emitted file
 round-trips to an equal value.
@@ -21,8 +22,11 @@ import math
 from fractions import Fraction
 
 from .errors import InputError
-from .hypercore import Graph, Hypergraph, bits_of, mask_of
+from .hypercore import UNIVERSE_CAP, Graph, Hypergraph, bits_of, mask_of
 from .measures import Measure
+
+# decimal exponents beyond this are refused before Fraction expands 10**exp
+EXPONENT_CAP = 4300
 
 
 def _meaningful_lines(text: str):
@@ -40,10 +44,17 @@ def _integer(token: str, lineno: int, what: str) -> int:
         raise InputError(f"line {lineno}: {what} must be an integer, got {token!r}") from None
 
 
-def _vertex(token: str, lineno: int) -> int:
+def _vertex_count(token: str, lineno: int) -> int:
+    n = _integer(token, lineno, "the vertex count")
+    if not 0 <= n <= UNIVERSE_CAP:
+        raise InputError(f"line {lineno}: vertex count {n} outside [0, {UNIVERSE_CAP}]")
+    return n
+
+
+def _vertex(token: str, lineno: int, n: int) -> int:
     v = _integer(token, lineno, "a vertex")
-    if v < 0:
-        raise InputError(f"line {lineno}: vertex {v} is negative")
+    if not 0 <= v < n:
+        raise InputError(f"line {lineno}: vertex {v} outside [0, {n})")
     return v
 
 
@@ -55,14 +66,14 @@ def parse_graph(text: str) -> Graph:
     parts = header.split()
     if len(parts) != 2 or parts[0] != "graph":
         raise InputError(f"line {lineno}: expected 'graph <n>'")
-    n = _integer(parts[1], lineno, "the vertex count")
+    n = _vertex_count(parts[1], lineno)
     edges = []
     seen = set()
     for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "e":
             raise InputError(f"line {lineno}: expected 'e <u> <v>'")
-        u, v = _vertex(parts[1], lineno), _vertex(parts[2], lineno)
+        u, v = _vertex(parts[1], lineno, n), _vertex(parts[2], lineno, n)
         if not u < v:
             raise InputError(f"line {lineno}: edges must satisfy u < v")
         if (u, v) in seen:
@@ -86,14 +97,14 @@ def parse_hypergraph(text: str) -> Hypergraph:
     parts = header.split()
     if len(parts) != 2 or parts[0] != "hypergraph":
         raise InputError(f"line {lineno}: expected 'hypergraph <n>'")
-    n = _integer(parts[1], lineno, "the vertex count")
+    n = _vertex_count(parts[1], lineno)
     edges = []
     seen = set()
     for lineno, line in lines[1:]:
         parts = line.split()
         if not parts or parts[0] != "E":
             raise InputError(f"line {lineno}: expected 'E <v1> ... <vk>'")
-        verts = [_vertex(p, lineno) for p in parts[1:]]
+        verts = [_vertex(p, lineno, n) for p in parts[1:]]
         if any(a >= b for a, b in zip(verts, verts[1:])):
             raise InputError(f"line {lineno}: vertices must be strictly increasing")
         edge = mask_of(verts)
@@ -121,6 +132,9 @@ def parse_number(token: str, exact: bool):
             value = Fraction(int(num), int(den))
             return value if exact else float(value)
         if exact:
+            _, marker, exponent = token.lower().partition("e")
+            if marker and abs(int(exponent)) > EXPONENT_CAP:
+                raise InputError(f"exponent beyond {EXPONENT_CAP}: {token!r}")
             return Fraction(token)
         value = float(token)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:

@@ -16,7 +16,11 @@ Two solvers are provided.  The iterative one is conditional gradient
 (Frank-Wolfe) with away steps and exact line search; its gap certificate
 bounds the optimum from below by (primal - gap).  For small edge counts and
 rational p, an exact rational KKT enumeration over support patterns decides
-boundary cases with no tolerance at all.
+boundary cases with no tolerance at all.  The yes/no queries of
+:func:`require_verdict` try a cheaper exact bracket first: a Frank-Wolfe
+point made exact gives lambda_p(x) above the minimum and the dual bound
+2 min_j (Qx)_j - x^T Q x below it, and the enumeration runs only when 1/R
+lies between the two.
 
 Special cases settled by hand: an edge of size <= 1 (including the empty
 edge) absorbs all mass with lambda = 0, so R* is infinite; a hypergraph with
@@ -41,6 +45,7 @@ from .measures import (
     lambda_p,
     lambda_p_pairwise,
     mass,
+    pair_coefficient,
     scale,
 )
 from .prng import SplitMix64
@@ -48,6 +53,8 @@ from .prng import SplitMix64
 KKT_EDGE_CAP = 10  # exact path enumerates 2^m support patterns
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10**6
+BRACKET_MAX_ITER = 1000  # require_verdict's Frank-Wolfe; past it, enumerate
+_GRID = 1 << 48
 
 INF = float("inf")
 
@@ -86,29 +93,21 @@ class JansonVerdict:
     note: str = ""
 
 
+def _overlap_rows(edges, p, exact: bool) -> list:
+    top = max((popcount(e) for e in edges), default=0)
+    coef = [pair_coefficient(c, p, exact) for c in range(top + 1)]
+    return [[coef[popcount(a & b)] for b in edges] for a in edges]
+
+
 def overlap_matrix(h: Hypergraph, p, exact: bool):
     """Q with lambda_p(x) = x^T Q x for weights x on h.edges."""
-    m = len(h.edges)
+    rows = _overlap_rows(h.edges, p, exact)
     if exact:
-        base = 1 + Fraction(1) / Fraction(p)
-        inv = Fraction(1) / Fraction(p)
-        rows = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                c = popcount(h.edges[i] & h.edges[j])
-                row.append(base**c - 1 - c * inv)
-            rows.append(row)
         return rows
     import numpy as np  # loaded on the Frank-Wolfe path only
 
-    base = 1.0 + 1.0 / p
-    q = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            c = popcount(h.edges[i] & h.edges[j])
-            q[i, j] = q[j, i] = base**c - 1.0 - c / p
-    return q
+    m = len(rows)
+    return np.array(rows, dtype=float).reshape(m, m)
 
 
 def _solve_rational(matrix, rhs):
@@ -247,36 +246,39 @@ def min_lambda_fw(
     return MinLambdaResult(value, witness, gap, iterations, exact=False)
 
 
-def dual_lower_bound(witness: Measure, p: float) -> float:
+def dual_lower_bound(witness: Measure, p):
     """Certified lower bound on the simplex minimum, recomputed from a
     feasible point without the solver: by convexity the minimum is at least
-    f(x) - (x . grad - min_i grad_i).  Pure Python, so it double-checks the
-    numpy path independently."""
-    h = witness.host
-    x = [float(w) for w in witness.weights]
-    m = len(x)
-    grad = [0.0] * m
-    for i in range(m):
-        acc = 0.0
-        for j in range(m):
-            if x[j]:
-                c = popcount(h.edges[i] & h.edges[j])
-                acc += _pair_coef_float(c, float(p)) * x[j]
-        grad[i] = 2.0 * acc
-    value = 0.5 * sum(g * xi for g, xi in zip(grad, x))
-    fw_gap = max(sum(g * xi for g, xi in zip(grad, x)) - min(grad), 0.0)
-    return value - fw_gap
-
-
-def _pair_coef_float(c: int, p: float) -> float:
-    return (1.0 + 1.0 / p) ** c - 1.0 - c / p
+    f(x) - (x . grad - min_i grad_i) = 2 min_i (Qx)_i - x^T Q x.  Pure
+    Python, so it double-checks the numpy path independently; on an exact
+    measure with rational p the bound is exact."""
+    exact = witness.exact
+    zero = Fraction(0) if exact else 0.0
+    if exact:
+        x = list(witness.weights)
+    else:
+        x = [float(w) for w in witness.weights]
+        p = float(p)
+    q = _overlap_rows(witness.host.edges, p, exact)
+    grad = []
+    for row in q:
+        acc = zero
+        for qij, xj in zip(row, x):
+            if xj:
+                acc += qij * xj
+        grad.append(2 * acc)
+    xg = sum(g * xi for g, xi in zip(grad, x))
+    fw_gap = max(xg - min(grad), zero)
+    return xg / 2 - fw_gap
 
 
 _cache: dict = {}
+_brackets: dict = {}  # (canonical key, p key, R) -> True / False / None
 
 
 def clear_cache():
     _cache.clear()
+    _brackets.clear()
 
 
 def _p_key(p):
@@ -412,7 +414,13 @@ def is_janson(h: Hypergraph, p, r, tol: float = DEFAULT_TOL) -> JansonVerdict:
 
 
 def require_verdict(h: Hypergraph, p, r, tol: float = DEFAULT_TOL, context: str = "") -> bool:
-    """True/False for YES/NO; UNDECIDED aborts with the offending instance."""
+    """True/False for YES/NO; UNDECIDED aborts with the offending instance.
+
+    Exact queries are first put to :func:`_bracket_verdict`; only those its
+    bracket cannot decide go through :func:`is_janson`."""
+    decided = _bracket_verdict(h, p, r)
+    if decided is not None:
+        return decided
     verdict = is_janson(h, p, r, tol)
     if verdict.answer == "UNDECIDED":
         raise UndecidedError(
@@ -420,6 +428,96 @@ def require_verdict(h: Hypergraph, p, r, tol: float = DEFAULT_TOL, context: str 
             detail={"edges": h.edges, "n": h.n, "p": p, "R": r, "gap": verdict.gap},
         )
     return verdict.answer == "YES"
+
+
+def _bracket_verdict(h: Hypergraph, p, r):
+    """The exact answer to "is lambda_p < 1/R somewhere on the simplex?",
+    or None when this shortcut does not apply or cannot tell.
+
+    It applies where :func:`is_janson` would enumerate: rational p and
+    R > 0, 1 <= m <= KKT_EDGE_CAP, every edge of size >= 2, and no memoised
+    minimum yet.  A floating Frank-Wolfe point x, made exact and of mass
+    one, brackets the minimum between the exact dual bound at x and
+    lambda_p(x): YES when R lambda_p(x) < 1, NO when R times the bound is
+    >= 1, and None when 1/R lies between the two."""
+    rational = (Fraction, int)
+    if not (
+        isinstance(p, rational)
+        and isinstance(r, rational)
+        and 0 < p <= 1
+        and r > 0
+        and 1 <= len(h.edges) <= KKT_EDGE_CAP
+        and all(popcount(e) >= 2 for e in h.edges)
+    ):
+        return None
+    canon_key = h.canonical_key()
+    p_key = _p_key(p)
+    if (canon_key, p_key, "exact", None) in _cache:
+        return None
+    key = (canon_key, p_key, Fraction(r))
+    if key in _brackets:
+        return _brackets[key]
+    canon = Hypergraph(h.n, canon_key[1])
+    try:
+        point = _fw_point(_overlap_rows(canon.edges, float(p), exact=False), 1.0 / float(r))
+        # on the dyadic grid of step 2^-48, the rounding residue moved to
+        # the largest coordinate so that the mass is exactly one
+        grid = [round(v * _GRID) for v in point]
+    except (ArithmeticError, ValueError):
+        return None  # p, R or the overlaps beyond float range: enumerate
+    grid[grid.index(max(grid))] += _GRID - sum(grid)
+    x = Measure(canon, tuple(Fraction(k, _GRID) for k in grid), exact=True)
+    if r * lambda_p_pairwise(x, p) < 1:
+        decided = True
+    elif r * dual_lower_bound(x, p) >= 1:
+        decided = False
+    else:
+        decided = None
+    _brackets[key] = decided
+    return decided
+
+
+def _fw_point(q: list, target: float) -> list:
+    """The away-step Frank-Wolfe of :func:`min_lambda_fw` on lists, stopped
+    as soon as the float bracket [value - gap, value] clears ``target`` by a
+    relative margin of DEFAULT_TOL, or the gap falls within DEFAULT_TOL of
+    the value."""
+    m = len(q)
+    yes_below = target * (1.0 - DEFAULT_TOL)
+    no_from = target * (1.0 + DEFAULT_TOL)
+    x = [1.0 / m] * m
+    for _ in range(BRACKET_MAX_ITER):
+        qx = [sum(a * b for a, b in zip(row, x)) for row in q]
+        grad = [2.0 * v for v in qx]
+        i_fw = min(range(m), key=grad.__getitem__)
+        xg = sum(g * v for g, v in zip(grad, x))
+        gap = max(xg - grad[i_fw], 0.0)
+        value = xg / 2
+        if value < yes_below or value - gap >= no_from or gap <= DEFAULT_TOL * value:
+            break
+        i_aw = max((i for i in range(m) if x[i] > 0), key=grad.__getitem__)
+        if gap >= grad[i_aw] - xg:
+            d = [-v for v in x]
+            d[i_fw] += 1.0
+            gamma_max = 1.0
+        else:
+            d = list(x)
+            d[i_aw] -= 1.0
+            denom = 1.0 - x[i_aw]
+            gamma_max = x[i_aw] / denom if denom > 1e-15 else 1.0
+        qd = [sum(a * b for a, b in zip(row, d)) for row in q]
+        curvature = 2.0 * sum(a * b for a, b in zip(d, qd))
+        slope = sum(g * v for g, v in zip(grad, d))
+        if curvature > 0:
+            gamma = min(gamma_max, max(0.0, -slope / curvature))
+        else:
+            gamma = gamma_max
+        if gamma == 0.0:
+            break
+        x = [max(v + gamma * dv, 0.0) for v, dv in zip(x, d)]
+        total = sum(x)
+        x = [v / total for v in x]
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ size c with |L| >= 2 telescopes out of the binomial theorem.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -152,11 +153,13 @@ def lambda_p_subsets(m: Measure, p):
     return total
 
 
-def _pair_coefficient(c: int, p, exact: bool):
-    # sum over L inside a size-c intersection, |L| >= 2, of p^(-|L|)
+def pair_coefficient(c: int, p, exact: bool):
+    """Coefficient of w1 * w2 in lambda_p for two edges sharing c vertices:
+    the sum of p^(-|L|) over the subsets L, |L| >= 2, of the intersection.
+    The one overlap formula of the package, in either arithmetic mode."""
     if exact:
-        q = 1 + Fraction(1) / Fraction(p)
-        return q**c - 1 - Fraction(c) / Fraction(p)
+        inv = Fraction(1) / Fraction(p)
+        return (1 + inv) ** c - 1 - c * inv
     q = 1.0 + 1.0 / p
     return q**c - 1.0 - c / p
 
@@ -165,16 +168,17 @@ def lambda_p_pairwise(m: Measure, p):
     """Algorithm B: closed form over edge pairs; no edge-size cap."""
     _check_probability(p, m.exact)
     idx = m.support()
+    coef = functools.cache(lambda c: pair_coefficient(c, p, m.exact))
     total = Fraction(0) if m.exact else 0.0
     for a in range(len(idx)):
         i = idx[a]
         ei, wi = m.host.edges[i], m.weights[i]
-        total += wi * wi * _pair_coefficient(popcount(ei), p, m.exact)
+        total += wi * wi * coef(popcount(ei))
         for b in range(a + 1, len(idx)):
             j = idx[b]
             c = popcount(ei & m.host.edges[j])
             if c >= 2:
-                total += 2 * wi * m.weights[j] * _pair_coefficient(c, p, m.exact)
+                total += 2 * wi * m.weights[j] * coef(c)
     return total
 
 

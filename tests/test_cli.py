@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 import jcontainers
-from jcontainers import fileio
+from jcontainers import cli, fileio
 from jcontainers.cli import dispatch, load_config, load_graph
 from jcontainers.errors import InputError
 from jcontainers.hypercore import Graph, Hypergraph, mask_of
@@ -87,6 +87,52 @@ class TestFileFormats:
         assert load_graph("P3") == Graph.path(3)
         assert load_graph("C5") == Graph.cycle(5)
         assert load_graph("E2") == Graph.empty(2)
+
+    @pytest.mark.parametrize(
+        "parse, text, line",
+        [
+            (fileio.parse_graph, "graph 65\n", 1),
+            (fileio.parse_graph, "graph 3\ne 0 3\n", 2),
+            (fileio.parse_hypergraph, "hypergraph 65\n", 1),
+            (fileio.parse_hypergraph, "hypergraph 3\nE 0 99999999999\n", 2),
+        ],
+    )
+    def test_vertex_bounds_report_line(self, parse, text, line):
+        with pytest.raises(InputError, match=f"line {line}:"):
+            parse(text)
+
+    def test_named_graph_over_the_cap_rejected(self):
+        with pytest.raises(InputError):
+            load_graph("K99999999999")
+
+    @pytest.mark.parametrize("token", ["1e999999999", "1e-999999999", "2E5000"])
+    def test_huge_exponent_rejected(self, token):
+        with pytest.raises(InputError):
+            fileio.parse_number(token, exact=True)
+        assert fileio.parse_number("1e-3", exact=True) == F(1, 1000)
+
+
+_TOKENS = st.sampled_from(
+    ["graph", "hypergraph", "e", "E", "w", "#", "0", "1", "2", "3", "-1", "64", "65",
+     "99999999999", "1/2", "1/0", "nan", "inf", "1e999999999", "0.5", "x", ""]
+)
+_LINES = st.lists(st.lists(_TOKENS, max_size=5).map(" ".join), max_size=6).map("\n".join)
+
+
+class TestParserFuzz:
+    """Every parser either parses or raises InputError, whatever the text."""
+
+    @given(st.one_of(st.text(max_size=80), _LINES))
+    @settings(max_examples=300, deadline=None)
+    def test_parsers_raise_only_input_errors(self, text):
+        host = Hypergraph.from_vertex_lists(4, [[0, 1], [1, 2, 3]])
+        for parse in (fileio.parse_graph, fileio.parse_hypergraph,
+                      lambda t: fileio.parse_measure(t, host),
+                      lambda t: fileio.parse_measure(t, host, exact=False)):
+            try:
+                parse(text)
+            except InputError:
+                pass
 
 
 @pytest.fixture
@@ -230,6 +276,51 @@ class TestDispatch:
         assert len({json.dumps(w, sort_keys=True) for w in witnesses.values()}) > 1
         assert dispatch(argv + ["--seed", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["witness"] == witnesses[3]
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("p = 1/5\ndelta = -1\n", 2),
+            ("p = 1/5\ndelta = 0\n", 2),
+            ("p = 0\n", 1),
+            ("p = 2\n", 1),
+            ("trials = -3\n", 1),
+            ("r = 2\nbudget_colorings = -1\n", 2),
+        ],
+    )
+    def test_out_of_range_config_exits_2(self, tmp_path, capsys, text, line):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        argv = ["ramsey", "event", "--kind", "Bprime", "--G", "C5", "--H", "K3,K3"]
+        assert dispatch(argv + ["--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert f"line {line}:" in captured.err and captured.out == ""
+
+    def test_unexpected_exception_is_an_internal_error(self, monkeypatch, capsys, single_edge_file):
+        def broken(args):
+            raise RuntimeError("handler\nfailed")
+
+        monkeypatch.setattr(cli, "cmd_janson", broken)
+        code = dispatch(["janson", "--hypergraph", single_edge_file, "--p", "1/2", "--R", "1/5"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INTERNAL == 5
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError: handler failed\n"
+
+    def test_jobs_flag_is_gone(self, tmp_path, capsys, single_edge_file):
+        argv = ["janson", "--hypergraph", single_edge_file, "--p", "1/2", "--R", "1/5"]
+        assert dispatch(["--jobs", "2"] + argv) == 2
+        capsys.readouterr()
+        assert dispatch(["--out", str(tmp_path / "o")] + argv) == 0
+        record = json.loads((tmp_path / "o" / "record.json").read_text())
+        assert "jobs" not in record["config"]
+
+    def test_unwritable_out_dir_exits_2(self, tmp_path, capsys, single_edge_file):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["janson", "--hypergraph", single_edge_file, "--p", "1/2", "--R", "1/5"]
+        assert dispatch(["--out", str(blocker / "sub")] + argv) == 2
+        assert "input error" in capsys.readouterr().err
 
     def test_event_command(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -390,3 +481,38 @@ class TestImports:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["YES", "False", "True"]
+
+    def test_exact_pipelines_and_events_never_load_numpy(self, tmp_path):
+        # require_verdict decides these queries in pure Python
+        (tmp_path / "h.hg").write_text("hypergraph 8\nE 0 1\nE 2 3\nE 4 5\nE 6 7\n")
+        (tmp_path / "g.graph").write_text("graph 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\n")
+        (tmp_path / "gp.graph").write_text("graph 5\n")
+        (tmp_path / "c.cfg").write_text("p = 1/5\ndelta = 0.3\n")
+        event = ["ramsey", "event", "--H", "K3,K3", "--config", "c.cfg", "--kind"]
+        runs = [
+            ["containers", "--hypergraph", "h.hg", "--p", "1/65536", "--q", "1/16",
+             "--R", "1/524288"],
+            ["extend-containers", "--F", "P3", "--w", "1", "--Gprime", "gp.graph",
+             "--G", "g.graph", "--p", "1/16777216", "--q", "1/16", "--R", "10/16777216",
+             "--Rprime", "0", "--no-strict"],
+            event + ["B", "--G", "K5"],
+            event + ["Bprime", "--G", "K5"],
+            event + ["E", "--G", "C5"],
+        ]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from jcontainers.cli import dispatch\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        print(dispatch(argv), file=sys.stderr)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src_dir = os.path.dirname(os.path.dirname(jcontainers.__file__))
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        done = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(runs)], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.split() == ["0"] * len(runs)
+        assert done.stdout.split() == ["False"]

@@ -3,26 +3,32 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jcontainers import janson
 from jcontainers.errors import InputError
 from jcontainers.hypercore import Hypergraph, mask_of, restrict_edges
 from jcontainers.janson import (
     HypothesisViolation,
     aggregate_witnesses,
     bounded_degree_witness,
+    clear_cache,
+    dual_lower_bound,
     is_janson,
     janson_threshold,
     min_lambda,
     min_lambda_exact,
     min_lambda_fw,
+    overlap_matrix,
+    require_verdict,
 )
 from jcontainers.measures import (
     Measure,
     degree,
     lambda_p,
     lambda_p_pairwise,
+    lambda_p_subsets,
     mass,
     scale,
 )
@@ -296,3 +302,132 @@ class TestSubJansonMonotone:
         if not sub.edges:
             return
         assert janson_threshold(sub, F(1, 2)) <= janson_threshold(h, F(1, 2))
+
+
+class TestOverlapAndDualBound:
+    @given(hypergraphs(min_n=2, max_n=6, max_edges=5, min_edge_size=2), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_overlap_matrix_is_lambda(self, h, data):
+        if not h.edges:
+            return
+        p = data.draw(st.sampled_from([F(1, 2), F(1, 5), F(2, 3)]))
+        ws = tuple(F(data.draw(st.integers(0, 6)), 7) for _ in h.edges)
+        q = overlap_matrix(h, p, exact=True)
+        quad = sum(a * q[i][j] * b for i, a in enumerate(ws) for j, b in enumerate(ws))
+        assert quad == lambda_p_subsets(Measure(h, ws), p)
+        qf = overlap_matrix(h, float(p), exact=False)
+        for i, row in enumerate(q):
+            for j, v in enumerate(row):
+                assert qf[i][j] == pytest.approx(float(v), rel=1e-12)
+
+    @given(hypergraphs(min_n=2, max_n=6, max_edges=5, min_edge_size=2), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_exact_dual_bound_brackets_the_minimum(self, h, data):
+        if not h.edges:
+            return
+        p = data.draw(st.sampled_from([F(1, 2), F(1, 5), F(2, 3)]))
+        best = min_lambda_exact(h, p)
+        # tight at the optimum (KKT: min_j (Qx)_j = x^T Q x there) ...
+        assert dual_lower_bound(best.witness, p) == best.value
+        # ... and a lower bound at every other point of the simplex
+        raw = [data.draw(st.integers(0, 5)) for _ in h.edges]
+        if sum(raw) == 0:
+            return
+        x = Measure(h, tuple(F(v, sum(raw)) for v in raw))
+        bound = dual_lower_bound(x, p)
+        assert bound <= best.value <= lambda_p_pairwise(x, p)
+        assert dual_lower_bound(x.to_float(), p) == pytest.approx(float(bound), rel=1e-9, abs=1e-12)
+
+
+R_PLACES = ["at", "above", "below", "far above", "far below"]
+
+
+class TestRequireVerdict:
+    """require_verdict decides exact queries from a bracket and must give
+    exactly is_janson's answer."""
+
+    @staticmethod
+    def place(r_star, where, eps):
+        return {
+            "at": r_star,
+            "above": r_star * (1 + eps),
+            "below": r_star * (1 - eps),
+            "far above": r_star * 2,
+            "far below": r_star / 2,
+        }[where]
+
+    @given(
+        hypergraphs(min_n=2, max_n=7, max_edges=8, min_edge_size=2),
+        st.sampled_from([F(1), F(2, 3), F(1, 2), F(1, 5), F(1, 64)]),
+        st.sampled_from(R_PLACES),
+        st.sampled_from([F(1, 10**3), F(1, 10**6), F(1, 10**12)]),
+    )
+    # uniform optima on the dyadic grid: the bracket itself meets R*
+    @example(single_edge(2), F(1, 2), "at", F(1, 10**3))
+    @example(disjoint_edges(2), F(1, 5), "at", F(1, 10**3))
+    @example(disjoint_edges(4, 3), F(2, 3), "at", F(1, 10**3))
+    @example(disjoint_edges(8), F(1), "at", F(1, 10**3))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_is_janson(self, h, p, where, eps):
+        if not h.edges:
+            return
+        clear_cache()
+        r = self.place(janson_threshold(h, p), where, eps)
+        want = is_janson(h, p, r).answer == "YES"
+        clear_cache()
+        bracket = janson._bracket_verdict(h, p, r)
+        assert bracket in (None, want)
+        assert require_verdict(h, p, r) == want
+        if where.startswith("far"):
+            assert bracket is not None  # decided without the enumeration
+        if where == "at":
+            assert want is False
+
+    def test_threshold_falls_through_to_the_enumeration(self, monkeypatch):
+        # the triangle's optimum 1/3 is off the dyadic grid, so the bracket
+        # straddles R* and is_janson's enumeration answers
+        tri = Hypergraph.from_vertex_lists(3, [[0, 1], [0, 2], [1, 2]])
+        p = F(1, 2)
+        r_star = janson_threshold(tri, p)
+        clear_cache()
+        calls = []
+        original = janson.is_janson
+        monkeypatch.setattr(janson, "is_janson", lambda *a: calls.append(a) or original(*a))
+        assert require_verdict(tri, p, r_star) is False
+        assert len(calls) == 1
+        clear_cache()
+        assert require_verdict(tri, p, r_star * (1 - F(1, 10**6))) is True
+        assert len(calls) == 1
+
+    def test_brackets_are_memoised_until_clear_cache(self):
+        h = disjoint_edges(3)
+        clear_cache()
+        assert require_verdict(h, F(1, 2), F(1, 2)) is True
+        assert len(janson._brackets) == 1
+        clear_cache()
+        assert not janson._brackets
+
+    def test_memoised_minimum_skips_the_bracket(self):
+        h = disjoint_edges(3)
+        clear_cache()
+        min_lambda(h, F(1, 2))
+        assert require_verdict(h, F(1, 2), F(1, 2)) is True
+        assert not janson._brackets
+
+    def test_floating_queries_keep_the_old_path(self):
+        clear_cache()
+        assert require_verdict(disjoint_edges(3), 0.5, 0.5) is True
+        assert require_verdict(disjoint_edges(3), F(1, 2), 0.5) is True
+        assert not janson._brackets
+
+    @pytest.mark.parametrize("p", [F(1, 2**1100), F(1, 2**200), F(1, 2**60)])
+    def test_beyond_float_range_agrees(self, p):
+        # 1/p or the overlap coefficients of 6-vertex edges overflow a float
+        h = Hypergraph(8, (mask_of(range(6)), mask_of(range(2, 8))))
+        clear_cache()
+        r_star = janson_threshold(h, p)
+        for r in (r_star, r_star / 2, r_star * 2, F(1, 10**400), F(10**400)):
+            clear_cache()
+            want = is_janson(h, p, r).answer == "YES"
+            clear_cache()
+            assert require_verdict(h, p, r) == want
