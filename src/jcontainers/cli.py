@@ -308,16 +308,8 @@ def cmd_containers(args):
         eta=_parse_rational(args.eta) if args.eta else None,
         strict=not args.no_strict,
     )
-    payload = {
-        "containers": [_mask_list(x) for x in family.containers],
-        "certified_minimal_sets": [_mask_list(m) for m in family.certified_minimals],
-        "violations": family.violations,
-        "incomplete": family.incomplete,
-        "size_bound_ok": family.size_bound_ok,
-        "params": family.params,
-    }
-    code = EXIT_VIOLATION if family.violations else EXIT_OK
-    return code, emit(payload), {}
+    certified = {"certified_minimal_sets": [_mask_list(m) for m in family.certified_minimals]}
+    return _pipeline_result(family, certified)
 
 
 def cmd_extend_containers(args):
@@ -338,13 +330,20 @@ def cmd_extend_containers(args):
         r_colours=args.r,
         strict=not args.no_strict,
     )
+    trimmed = {"trimmed": {str(x): _mask_list(y) for x, y in family.shrunk.items()}}
+    return _pipeline_result(family, trimmed)
+
+
+def _pipeline_result(family, extra: dict):
+    """Exit code and payload of a container pipeline run; ``extra`` holds
+    the pipeline's own keys."""
     payload = {
         "containers": [_mask_list(x) for x in family.containers],
-        "trimmed": {str(x): _mask_list(y) for x, y in family.shrunk.items()},
         "violations": family.violations,
         "incomplete": family.incomplete,
         "size_bound_ok": family.size_bound_ok,
         "params": family.params,
+        **extra,
     }
     code = EXIT_VIOLATION if family.violations else EXIT_OK
     return code, emit(payload), {}

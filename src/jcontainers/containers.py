@@ -43,6 +43,7 @@ reports the resulting independence failures instead.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -302,57 +303,13 @@ def hardcover_family(
         raise InputError("parameters must satisfy 0 < q <= alpha < 1")
     if h.n > ZETA_CAP:
         raise InputError(f"full enumeration capped at {ZETA_CAP} vertices")
-    independent = [not c for c in containment_table(h.n, h.edges)]
-    return _hardcover_core(
-        h.n, independent, h.edges, q, alpha, paper_literal, verify, strict_samples, seed
-    )
-
-
-def _hardcover_core(
-    n: int,
-    independent: list[bool],
-    edges,
-    q: Fraction,
-    alpha: Fraction,
-    paper_literal: bool,
-    verify: bool,
-    strict_samples: int,
-    seed: int,
-) -> HardcoverFamily:
-    """The family of a down-closed set system given by its indicator
-    ``independent[mask]``."""
-    size = 1 << n
-    counts = _popcounts(n)
-    bar = (1 - alpha) * q
-    base_ctx = _context_for(n, independent, 0, q, bar, counts)
-    if base_ctx.table[0] == 0:
-        # no independent sets at all (the empty edge is present)
-        return HardcoverFamily(n, q, alpha, paper_literal, (), {}, {})
-    # every submask of an independent set is independent, so dependent
-    # masks (satisfying vacuously, at probability 0) can drop out
-    sat = _satisfying_table(base_ctx, counts)
-    fp = _fingerprint_table([s and i for s, i in zip(sat, independent)], n, counts)
-    phi = {i_mask: fp[i_mask] for i_mask in range(size) if independent[i_mask]}
-    fingerprints = tuple(sorted(set(phi.values())))
-    lo = 1 if not paper_literal else 0
-    contexts = {}
-    covers = {}
-    for t_mask in fingerprints:
-        ctx = contexts[t_mask] = (
-            base_ctx if t_mask == 0 else _context_for(n, independent, t_mask, q, bar, counts)
-        )
-        limit = ctx.limit
-        members = tuple([
-            l_mask
-            for l_mask, t, k in zip(range(lo, size), ctx.table[lo:], counts[lo:])
-            if t <= limit[k]
-        ])
-        covers[t_mask] = members
-
-    family = HardcoverFamily(n, q, alpha, paper_literal, fingerprints, phi, covers)
+    n = h.n
+    independent = [not c for c in containment_table(n, h.edges)]
+    family, contexts = _hardcover_core(n, independent, q, alpha, paper_literal)
     if not verify:
         return family
 
+    fingerprints, covers, phi = family.fingerprints, family.covers, family.phi
     cover_contains = {t_mask: containment_table(n, covers[t_mask]) for t_mask in fingerprints}
     size_cap = q * n / alpha
     too_large = {t_mask: popcount(t_mask) > size_cap for t_mask in fingerprints}
@@ -367,7 +324,7 @@ def _hardcover_core(
             family.violations.append(
                 f"independent set {i_mask:b} meets its own cover (T = {t_mask:b})"
             )
-    edge_set = set(edges)
+    edge_set = set(h.edges)
     for t_mask in fingerprints:
         member_set = set(covers[t_mask])
         for e in edge_set:
@@ -377,6 +334,7 @@ def _hardcover_core(
                 )
     # strict inequality on sampled non-members, re-derived per query in
     # rationals rather than from the integer limits that chose the members
+    bar = (1 - alpha) * q
     rng = SplitMix64(seed)
     checked = 0
     if fingerprints:
@@ -396,6 +354,41 @@ def _hardcover_core(
             checked += 1
     family.strict_checked = checked
     return family
+
+
+def _hardcover_core(
+    n: int, independent: list[bool], q: Fraction, alpha: Fraction, paper_literal: bool
+) -> tuple[HardcoverFamily, dict]:
+    """The unverified family of a down-closed set system given by its
+    indicator ``independent[mask]``, and the zeta context of each
+    fingerprint."""
+    size = 1 << n
+    counts = _popcounts(n)
+    bar = (1 - alpha) * q
+    base_ctx = _context_for(n, independent, 0, q, bar, counts)
+    if base_ctx.table[0] == 0:
+        # no independent sets at all (the empty edge is present)
+        return HardcoverFamily(n, q, alpha, paper_literal, (), {}, {}), {}
+    # every submask of an independent set is independent, so dependent
+    # masks (satisfying vacuously, at probability 0) can drop out
+    sat = _satisfying_table(base_ctx, counts)
+    fp = _fingerprint_table([s and i for s, i in zip(sat, independent)], n, counts)
+    phi = {i_mask: fp[i_mask] for i_mask in range(size) if independent[i_mask]}
+    fingerprints = tuple(sorted(set(phi.values())))
+    lo = 1 if not paper_literal else 0
+    contexts = {}
+    covers = {}
+    for t_mask in fingerprints:
+        ctx = contexts[t_mask] = (
+            base_ctx if t_mask == 0 else _context_for(n, independent, t_mask, q, bar, counts)
+        )
+        limit = ctx.limit
+        covers[t_mask] = tuple([
+            l_mask
+            for l_mask, t, k in zip(range(lo, size), ctx.table[lo:], counts[lo:])
+            if t <= limit[k]
+        ])
+    return HardcoverFamily(n, q, alpha, paper_literal, fingerprints, phi, covers), contexts
 
 
 # ---------------------------------------------------------------------------
@@ -576,22 +569,23 @@ def in_upset(minimals, mask: int) -> bool:
     return any(mm & ~mask == 0 for mm in minimals)
 
 
-def _sliced_cover(n: int, members, s: int) -> Hypergraph:
-    """Size-s slice of the up-set of the cover members."""
-    import itertools
-
-    contains = containment_table(n, members)
-    out = [
-        mask_of(c)
-        for c in itertools.combinations(range(n), s)
-        if contains[mask_of(c)]
-    ]
-    return Hypergraph(n, tuple(sorted(out)))
+def upset_slice(h: Hypergraph, s: int) -> Hypergraph:
+    """The size-s slice of the up-set of h: every s-subset of the universe
+    that contains some edge of h."""
+    if s < 0:
+        raise InputError("slice size must be nonnegative")
+    contains = containment_table(h.n, h.edges)
+    members = (mask_of(c) for c in itertools.combinations(range(h.n), s))
+    return Hypergraph(h.n, tuple(sorted(m for m in members if contains[m])))
 
 
-def _size_bound_ok(count: int, q: Fraction, n: int, exponent_factor: int) -> bool:
+def _check_size_bound(family: PipelineFamily, q: Fraction, n: int, exponent_factor: int) -> None:
+    """A family of more than 4 (2/q)^(c q n) containers, c = exponent_factor,
+    is a violation."""
     limit = math.log(4.0) + exponent_factor * float(q) * n * math.log(2.0 / float(q))
-    return math.log(max(count, 1)) <= limit + 1e-12
+    family.size_bound_ok = math.log(max(len(family.containers), 1)) <= limit + 1e-12
+    if not family.size_bound_ok:
+        family.violations.append("container family exceeds its size bound")
 
 
 @dataclass
@@ -614,6 +608,50 @@ class PipelineFamily:
         return not self.violations
 
 
+def _container_core(
+    n: int, is_good, q_hc: Fraction, s: int, p, tol: float, cap: int, what: str
+) -> dict:
+    """The steps both pipelines share, as PipelineFamily fields.
+
+    The up-set of the sets where ``is_good`` holds (by minimal members; the
+    property is inclusion-monotone) is fingerprinted with the exact cover
+    construction at (q_hc, 1/2); each cover is sliced to uniformity s and
+    handed to the fallback oracle, capped at ``cap`` vertices.  Every
+    uncertified set must fit a container: a gap is a violation, or
+    incomplete when the oracle stalled."""
+    minimals = minimal_members(n, is_good)
+    uncertified = [not in_upset(minimals, m) for m in range(1 << n)]
+    fam_hc, _ = _hardcover_core(n, uncertified, q_hc, Fraction(1, 2), False)
+    assignments = {}
+    incomplete = []
+    violations = []
+    containers = set()
+    for t_mask in fam_hc.fingerprints:
+        slice_h = upset_slice(fam_hc.cover_hypergraph(t_mask), s)
+        oracle = uniform_container_oracle(slice_h, p, tol, cap)
+        incomplete.extend(f"T={t_mask:b}: {msg}" for msg in oracle.incomplete)
+        violations.extend(f"T={t_mask:b}: {msg}" for msg in oracle.violations)
+        for s_mask, x_mask in oracle.psi.items():
+            assignments[(t_mask, s_mask)] = x_mask
+            containers.add(x_mask)
+    containers = tuple(sorted(containers))
+    for l_mask in range(1 << n):
+        if uncertified[l_mask] and not any(l_mask & ~x == 0 for x in containers):
+            msg = f"uncovered {what} set {l_mask:b}"
+            if incomplete:
+                incomplete.append(msg + " (fallback oracle stalled)")
+            else:
+                violations.append(msg)
+    return dict(
+        containers=containers,
+        assignments=assignments,
+        certified_minimals=minimals,
+        hardcover=fam_hc,
+        violations=violations,
+        incomplete=incomplete,
+    )
+
+
 def non_janson_containers(
     h: Hypergraph,
     p,
@@ -622,7 +660,6 @@ def non_janson_containers(
     eta=None,
     tol: float = 1e-9,
     strict: bool = True,
-    desk_cap: int = DESK_CAP,
 ) -> PipelineFamily:
     """Containers for vertex sets L whose induced sub-hypergraph misses the
     (p/q, eta R) property: every such L lies in some container X, and every
@@ -635,8 +672,8 @@ def non_janson_containers(
     as violations, and coverage gaps caused by an incomplete oracle land in
     ``incomplete`` instead.
     """
-    if h.n > desk_cap:
-        raise InputError(f"pipeline capped at {desk_cap} vertices")
+    if h.n > DESK_CAP:
+        raise InputError(f"pipeline capped at {DESK_CAP} vertices")
     s = h.uniformity()
     if s is None:
         if h.edges:
@@ -668,51 +705,16 @@ def non_janson_containers(
             context=f"auxiliary membership of {l_mask:b}",
         )
 
-    minimals = minimal_members(h.n, is_good)
-    uncertified = [not in_upset(minimals, m) for m in range(1 << h.n)]
-
-    fam_hc = _hardcover_core(
-        h.n, uncertified, None, q + p, Fraction(1, 2), False, False, 0, 0
-    )
-    assignments = {}
-    incomplete = []
-    violations = []
-    containers = set()
-    for t_mask in fam_hc.fingerprints:
-        slice_h = _sliced_cover(h.n, fam_hc.covers[t_mask], s)
-        oracle = uniform_container_oracle(slice_h, p, tol, desk_cap)
-        incomplete.extend(f"T={t_mask:b}: {msg}" for msg in oracle.incomplete)
-        violations.extend(f"T={t_mask:b}: {msg}" for msg in oracle.violations)
-        for s_mask, x_mask in oracle.psi.items():
-            assignments[(t_mask, s_mask)] = x_mask
-            containers.add(x_mask)
-
-    containers = tuple(sorted(containers))
     family = PipelineFamily(
         host=h,
         params={
             "p": p, "q": q, "R": r_param, "eta": eta, "s": s, "n": h.n,
             "alpha": Fraction(1, 2), "scaled": scaled,
         },
-        containers=containers,
-        assignments=assignments,
-        certified_minimals=minimals,
-        hardcover=fam_hc,
-        incomplete=incomplete,
-        violations=violations,
+        **_container_core(h.n, is_good, q + p, s, p, tol, DESK_CAP, "vertex"),
     )
-
-    # item (i): every uncertified L fits inside some container
-    for l_mask in range(1 << h.n):
-        if uncertified[l_mask]:
-            if not any(l_mask & ~x == 0 for x in containers):
-                msg = f"uncovered vertex set {l_mask:b}"
-                if incomplete:
-                    family.incomplete.append(msg + " (fallback oracle stalled)")
-                else:
-                    family.violations.append(msg)
-    # item (ii): every container's induced sub-hypergraph misses (p, R)
-    for x_mask in containers:
+    # every container's induced sub-hypergraph misses (p, R)
+    for x_mask in family.containers:
         if require_verdict(
             restrict_edges(h, x_mask), p, r_param, tol,
             context=f"container {x_mask:b}",
@@ -720,9 +722,7 @@ def non_janson_containers(
             family.violations.append(
                 f"container {x_mask:b} induces a (p, R) witness"
             )
-    family.size_bound_ok = _size_bound_ok(len(containers), q, h.n, 8)
-    if not family.size_bound_ok:
-        family.violations.append("container family exceeds its size bound")
+    _check_size_bound(family, q, h.n, 8)
     return family
 
 
@@ -738,7 +738,6 @@ def extension_containers(
     r_colours: int = 2,
     tol: float = 1e-9,
     strict: bool = True,
-    desk_cap: int = ZETA_CAP,
 ) -> PipelineFamily:
     """Containers on the two-layer universe for index sets I whose extended
     copy hypergraph pi_v(H[I]) united with the base copies misses the
@@ -752,8 +751,8 @@ def extension_containers(
     """
     h = ext.hyper
     n = h.n
-    if n > desk_cap:
-        raise InputError(f"pipeline capped at {desk_cap} two-layer vertices")
+    if n > ZETA_CAP:
+        raise InputError(f"pipeline capped at {ZETA_CAP} two-layer vertices")
     if v < ext.m:
         raise InputError("the fresh vertex must lie outside the host")
     s = h.uniformity()
@@ -812,50 +811,18 @@ def extension_containers(
             context=f"extended membership of {l_mask:b}",
         )
 
-    minimals = minimal_members(n, is_good)
-    uncertified = [not in_upset(minimals, m) for m in range(1 << n)]
-
-    fam_hc = _hardcover_core(n, uncertified, None, q, Fraction(1, 2), False, False, 0, 0)
-    assignments = {}
-    incomplete = []
-    violations = []
-    containers = set()
-    for t_mask in fam_hc.fingerprints:
-        slice_h = _sliced_cover(n, fam_hc.covers[t_mask], s)
-        oracle = uniform_container_oracle(slice_h, p, tol, desk_cap)
-        incomplete.extend(f"T={t_mask:b}: {msg}" for msg in oracle.incomplete)
-        violations.extend(f"T={t_mask:b}: {msg}" for msg in oracle.violations)
-        for s_mask, x_mask in oracle.psi.items():
-            assignments[(t_mask, s_mask)] = x_mask
-            containers.add(x_mask)
-
-    containers = tuple(sorted(containers))
     family = PipelineFamily(
         host=h,
         params={
             "p": p, "q": q, "R": r_param, "R'": r_prime, "eta": eta,
             "r": r_colours, "s": s, "n": n, "scaled": scaled,
         },
-        containers=containers,
-        assignments=assignments,
-        certified_minimals=minimals,
-        hardcover=fam_hc,
-        incomplete=incomplete,
-        violations=violations,
+        **_container_core(n, is_good, q, s, p, tol, ZETA_CAP, "index"),
     )
-
-    for l_mask in range(1 << n):
-        if uncertified[l_mask]:
-            if not any(l_mask & ~x == 0 for x in containers):
-                msg = f"uncovered index set {l_mask:b}"
-                if incomplete:
-                    family.incomplete.append(msg + " (fallback oracle stalled)")
-                else:
-                    family.violations.append(msg)
 
     allowance = (n // (256 * r_colours))
     floor_size = -(-n // (8 * r_colours))  # ceil(n / 8r)
-    for x_mask in containers:
+    for x_mask in family.containers:
         if popcount(x_mask) < floor_size:
             continue
         y_mask = x_mask
@@ -881,7 +848,5 @@ def extension_containers(
                     best_v, best_load = u, load
             y_mask &= ~(1 << best_v)
             deleted += 1
-    family.size_bound_ok = _size_bound_ok(len(containers), q, n, 4)
-    if not family.size_bound_ok:
-        family.violations.append("container family exceeds its size bound")
+    _check_size_bound(family, q, n, 4)
     return family

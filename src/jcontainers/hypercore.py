@@ -12,7 +12,6 @@ by bit pattern so downstream fingerprints are reproducible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -128,14 +127,18 @@ class Graph:
     def degree(self, v: int) -> int:
         return popcount(self.adj[v])
 
-    def degree_into(self, v: int, mask: int) -> int:
-        return popcount(self.adj[v] & mask)
-
     def is_subgraph_of(self, other: "Graph") -> bool:
         """Edge containment on a shared vertex set."""
         if self.n != other.n:
             return False
         return all(self.adj[v] & ~other.adj[v] == 0 for v in range(self.n))
+
+    def restrict(self, mask: int) -> "Graph":
+        """G[mask] on the same vertex set: edges with both ends in ``mask``
+        keep their labels; every other vertex becomes isolated."""
+        return Graph(
+            self.n, tuple(row & mask if mask >> v & 1 else 0 for v, row in enumerate(self.adj))
+        )
 
     def induced(self, mask: int) -> "Graph":
         """Induced subgraph on the vertices of ``mask``, relabelled 0..|mask|-1."""
@@ -220,19 +223,6 @@ def restrict_edges(h: Hypergraph, w_mask: int) -> Hypergraph:
     if w_mask & ~((1 << h.n) - 1):
         raise InputError("W contains a vertex outside the universe")
     return Hypergraph(h.n, tuple(sorted(e for e in h.edges if e & ~w_mask == 0)))
-
-
-def upset_slice(h: Hypergraph, s: int) -> Hypergraph:
-    """The size-s slice of the up-set of h: every s-subset of the universe
-    that contains some edge of h."""
-    if s < 0:
-        raise InputError("slice size must be nonnegative")
-    out = []
-    for combo in itertools.combinations(range(h.n), s):
-        m = mask_of(combo)
-        if any(e & ~m == 0 for e in h.edges):
-            out.append(m)
-    return Hypergraph(h.n, tuple(sorted(out)))
 
 
 def nonstrict_link(h: Hypergraph, t_mask: int) -> Hypergraph:

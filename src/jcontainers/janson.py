@@ -416,8 +416,11 @@ def is_janson(h: Hypergraph, p, r, tol: float = DEFAULT_TOL) -> JansonVerdict:
 def require_verdict(h: Hypergraph, p, r, tol: float = DEFAULT_TOL, context: str = "") -> bool:
     """True/False for YES/NO; UNDECIDED aborts with the offending instance.
 
-    Exact queries are first put to :func:`_bracket_verdict`; only those its
-    bracket cannot decide go through :func:`is_janson`."""
+    An edge of size <= 1 makes any R > 0 a YES (unit mass on it has zero
+    overlap).  Exact queries are first put to :func:`_bracket_verdict`;
+    only those its bracket cannot decide go through :func:`is_janson`."""
+    if r > 0 and any(popcount(e) <= 1 for e in h.edges):
+        return True
     decided = _bracket_verdict(h, p, r)
     if decided is not None:
         return decided

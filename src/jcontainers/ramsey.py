@@ -178,40 +178,73 @@ class EventReport:
     notes: list = field(default_factory=list)
 
 
-def _colour_hypergraphs(g: Graph, coloring: Coloring, targets: Sequence[Graph]):
-    for i, h in enumerate(targets, start=1):
-        gi = coloring.color_subgraph(g, i)
-        yield induced_copy_hypergraph(h, gi, g).hyper
-
-
-class _BudgetFlag:
-    """Set when an enumeration fell back to sampling."""
-
-    def __init__(self):
-        self.sampled = False
-
-
-def _finalize(report: "EventReport", flag: "_BudgetFlag") -> "EventReport":
-    if flag.sampled:
-        report.exhaustive = False
-        note = "colouring space sampled beyond the budget"
-        if note not in report.notes:
-            report.notes.append(note)
-    return report
-
-
-def _colorings(g: Graph, r: int, budget: int, rng: SplitMix64, flag: _BudgetFlag):
-    """All colourings when they fit the budget; a seeded uniform sample of
-    ``budget`` colourings otherwise (the flag records which)."""
+def _colorings(g: Graph, r: int, budget: int, rng: SplitMix64):
+    """(sampled, colourings): all colourings when they fit the budget, a
+    seeded uniform sample of ``budget`` colourings otherwise."""
     edges = g.edges()
-    total = r ** len(edges)
-    if total <= budget:
-        for combo in itertools.product(range(1, r + 1), repeat=len(edges)):
-            yield Coloring(r, dict(zip(edges, combo)))
-        return
-    flag.sampled = True
-    for _ in range(budget):
-        yield Coloring(r, {e: 1 + rng.below(r) for e in edges})
+    if r ** len(edges) <= budget:
+        combos = itertools.product(range(1, r + 1), repeat=len(edges))
+        return False, (Coloring(r, dict(zip(edges, combo))) for combo in combos)
+    return True, (Coloring(r, {e: 1 + rng.below(r) for e in edges}) for _ in range(budget))
+
+
+def _sample_subsets(subsets: list, budget: int, rng: SplitMix64, report: EventReport) -> list:
+    """The subsets when they fit the budget; beyond it, the first half of
+    the budget in order and a seeded sample of the rest for the other half
+    (the report drops its exhaustive flag)."""
+    if len(subsets) <= budget:
+        return subsets
+    report.exhaustive = False
+    note = "subset space sampled beyond the budget"
+    if note not in report.notes:
+        report.notes.append(note)
+    half = budget // 2
+    pool = subsets[half:]
+    return subsets[:half] + [pool[rng.below(len(pool))] for _ in range(half)]
+
+
+def _copies_inside(target: Graph, colour_graph: Graph, g: Graph, mask: int) -> Hypergraph:
+    """The induced copies of the target in the colour graph that lie inside
+    ``mask``; a full mask keeps the copy hypergraph as built."""
+    hyper = induced_copy_hypergraph(target, colour_graph, g).hyper
+    if mask == (1 << hyper.n) - 1:
+        return hyper
+    return Hypergraph(hyper.n, tuple(e for e in hyper.edges if e & ~mask == 0))
+
+
+def _sweep(report: EventReport, g: Graph, windows, p, budget: int, rng: SplitMix64, tol: float):
+    """The colouring sweep of every event: the first window (mask, targets,
+    r_bar) and colouring of G[mask] under which no colour's copy hypergraph
+    inside the mask has a (p, r_bar) witness, as (mask, targets, colouring),
+    or None.
+
+    An undecided Janson query ends the sweep with ``report.holds = None``.
+    A sampled colouring space drops the report's exhaustive flag; its note
+    goes last."""
+    context = f"event {report.name}"
+    sampled = False
+    try:
+        for mask, targets, r_bar in windows:
+            gm = g.restrict(mask)
+            sampled_here, colorings = _colorings(gm, len(targets), budget, rng)
+            sampled |= sampled_here
+            for coloring in colorings:
+                if not any(
+                    require_verdict(
+                        _copies_inside(target, coloring.color_subgraph(gm, i), g, mask),
+                        p, r_bar, tol, context=context,
+                    )
+                    for i, target in enumerate(targets, start=1)
+                ):
+                    return mask, targets, coloring
+    except UndecidedError as exc:
+        report.holds = None
+        report.notes.append(f"indeterminate: {exc}")
+    finally:
+        if sampled:
+            report.exhaustive = False
+            report.notes.append("colouring space sampled beyond the budget")
+    return None
 
 
 def check_event_bad(
@@ -225,24 +258,14 @@ def check_event_bad(
     """Does some colouring leave every colour's copy hypergraph without a
     (p, p v(G)) witness?  Beyond the budget the colouring space is sampled
     and the report drops its exhaustive flag."""
-    r = len(targets)
     r_bar = Fraction(p) * g.n if isinstance(p, (Fraction, int)) else float(p) * g.n
     report = EventReport("B", holds=False)
-    flag = _BudgetFlag()
-    rng = SplitMix64(seed)
-    try:
-        for coloring in _colorings(g, r, budget_colorings, rng, flag):
-            if all(
-                not require_verdict(hyper, p, r_bar, tol, context="event B")
-                for hyper in _colour_hypergraphs(g, coloring, targets)
-            ):
-                report.holds = True
-                report.witness = {"coloring": dict(coloring.assignment)}
-                return _finalize(report, flag)
-    except UndecidedError as exc:
-        report.holds = None
-        report.notes.append(f"indeterminate: {exc}")
-    return _finalize(report, flag)
+    window = ((1 << g.n) - 1, targets, r_bar)
+    found = _sweep(report, g, [window], p, budget_colorings, SplitMix64(seed), tol)
+    if found is not None:
+        report.holds = True
+        report.witness = {"coloring": dict(found[2].assignment)}
+    return report
 
 
 def check_event_bad_prime(
@@ -277,42 +300,14 @@ def check_event_bad_prime(
         (m for m in range(1 << n) if popcount(m) >= floor),
         key=lambda m: (popcount(m), m),
     )
-    if len(subsets) > budget_subsets:
-        report.exhaustive = False
-        report.notes.append("subset space sampled beyond the budget")
-        head = subsets[: budget_subsets // 2]
-        tail_pool = subsets[budget_subsets // 2 :]
-        tail = [tail_pool[rng.below(len(tail_pool))] for _ in range(budget_subsets // 2)]
-        subsets = head + tail
-    flag = _BudgetFlag()
-    try:
-        for s_mask in subsets:
-            gs = Graph(
-                n, tuple(g.adj[v] & s_mask if s_mask >> v & 1 else 0 for v in range(n))
-            )
-            for coloring in _colorings(gs, r, budget_colorings, rng, flag):
-                ok = True
-                for i, h in enumerate(targets, start=1):
-                    gi = coloring.color_subgraph(gs, i)
-                    hyper = induced_copy_hypergraph(h, gi, g).hyper
-                    inside = Hypergraph(
-                        hyper.n,
-                        tuple(e for e in hyper.edges if e & ~s_mask == 0),
-                    )
-                    if require_verdict(inside, p, r_bar, tol, context="event Bprime"):
-                        ok = False
-                        break
-                if ok:
-                    report.holds = True
-                    report.witness = {
-                        "S": sorted(bits_of(s_mask)),
-                        "coloring": dict(coloring.assignment),
-                    }
-                    return _finalize(report, flag)
-    except UndecidedError as exc:
-        report.holds = None
-        report.notes.append(f"indeterminate: {exc}")
-    return _finalize(report, flag)
+    subsets = _sample_subsets(subsets, budget_subsets, rng, report)
+    windows = ((s_mask, targets, r_bar) for s_mask in subsets)
+    found = _sweep(report, g, windows, p, budget_colorings, rng, tol)
+    if found is not None:
+        s_mask, _, coloring = found
+        report.holds = True
+        report.witness = {"S": sorted(bits_of(s_mask)), "coloring": dict(coloring.assignment)}
+    return report
 
 
 def _graphs_up_to(v_max: int):
@@ -363,64 +358,28 @@ def check_event_inductive(
         idx = sorted(rng.below(len(tuples)) for _ in range(budget_patterns))
         tuples = [tuples[i] for i in idx]
 
-    flag = _BudgetFlag()
-    try:
+    def windows():
+        # lazily, so that each tuple samples its subsets when the sweep
+        # reaches it
         for t_prime, patterns in tuples:
             floor = max(0, math.ceil((delta / (8 * r)) ** (t - t_prime) * n))
             subsets = [m for m in range(1 << n) if popcount(m) >= floor]
-            if len(subsets) > budget_subsets:
-                report.exhaustive = False
-                report.notes.append("subset space sampled beyond the budget")
-                head = subsets[: budget_subsets // 2]
-                pool = subsets[budget_subsets // 2 :]
-                subsets = head + [pool[rng.below(len(pool))] for _ in range(budget_subsets // 2)]
-            for w_mask in subsets:
-                gw = Graph(
-                    n,
-                    tuple(
-                        g.adj[v] & w_mask if w_mask >> v & 1 else 0 for v in range(n)
-                    ),
-                )
-                r_bar = (
-                    Fraction(p) * popcount(w_mask)
-                    if isinstance(p, (Fraction, int))
-                    else float(p) * popcount(w_mask)
-                )
-                for coloring in _colorings(gw, r, budget_colorings, rng, flag):
-                    found = False
-                    for i, f in enumerate(patterns, start=1):
-                        gi = coloring.color_subgraph(gw, i)
-                        hyper = induced_copy_hypergraph(f, gi, g).hyper
-                        inside = Hypergraph(
-                            hyper.n,
-                            tuple(e for e in hyper.edges if e & ~w_mask == 0),
-                        )
-                        if require_verdict(inside, p, r_bar, tol, context="event E"):
-                            found = True
-                            break
-                    if not found:
-                        report.holds = False
-                        report.witness = {
-                            "t_prime": t_prime,
-                            "patterns": [f.edges() for f in patterns],
-                            "W": sorted(bits_of(w_mask)),
-                            "coloring": dict(coloring.assignment),
-                        }
-                        return _finalize(report, flag)
-    except UndecidedError as exc:
-        report.holds = None
-        report.notes.append(f"indeterminate: {exc}")
-    return _finalize(report, flag)
+            for w_mask in _sample_subsets(subsets, budget_subsets, rng, report):
+                size = popcount(w_mask)
+                r_bar = Fraction(p) * size if isinstance(p, (Fraction, int)) else float(p) * size
+                yield w_mask, patterns, r_bar
 
-
-def check_event(g: Graph, kind: str, **kwargs) -> EventReport:
-    if kind == "B":
-        return check_event_bad(g, **kwargs)
-    if kind == "Bprime":
-        return check_event_bad_prime(g, **kwargs)
-    if kind == "E":
-        return check_event_inductive(g, **kwargs)
-    raise InputError(f"unknown event kind {kind!r}")
+    found = _sweep(report, g, windows(), p, budget_colorings, rng, tol)
+    if found is not None:
+        w_mask, patterns, coloring = found
+        report.holds = False
+        report.witness = {
+            "t_prime": sum(f.n for f in patterns),
+            "patterns": [f.edges() for f in patterns],
+            "W": sorted(bits_of(w_mask)),
+            "coloring": dict(coloring.assignment),
+        }
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +423,7 @@ def find_maximal_tuple(
         key = (i, mask)
         if key not in hypers:
             gi = coloring.color_subgraph(g, i + 1)
-            whole = induced_copy_hypergraph(targets[i], gi, g).hyper
-            hypers[key] = Hypergraph(
-                whole.n, tuple(e for e in whole.edges if e & ~mask == 0)
-            )
+            hypers[key] = _copies_inside(targets[i], gi, g, mask)
         return hypers[key]
 
     notes = []

@@ -22,8 +22,8 @@ from jcontainers.hypercore import (
     preimage_counts,
     project,
     restrict_edges,
-    upset_slice,
 )
+from jcontainers.containers import upset_slice
 
 from conftest import hypergraphs, mask
 
@@ -77,6 +77,10 @@ class TestInducedSub:
 
 
 class TestUpsetSlice:
+    def test_negative_size_rejected(self):
+        with pytest.raises(InputError):
+            upset_slice(Hypergraph.from_vertex_lists(3, [[0]]), -1)
+
     def test_supersets_of_singleton(self):
         h = Hypergraph.from_vertex_lists(3, [[0]])
         assert upset_slice(h, 2).edges == (mask(0, 1), mask(0, 2))

@@ -399,6 +399,22 @@ class TestRequireVerdict:
         assert require_verdict(tri, p, r_star * (1 - F(1, 10**6))) is True
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("edges", [(0,), (1,), (0b110, 0b1), (0b11, 0b110, 0b1000, 0b1100)])
+    @pytest.mark.parametrize("p", [F(1, 2), F(1, 64), 0.3])
+    def test_small_edges_answer_yes_without_is_janson(self, monkeypatch, edges, p):
+        h = Hypergraph(4, edges)
+        calls = []
+        original = janson.is_janson
+        monkeypatch.setattr(janson, "is_janson", lambda *a: calls.append(a) or original(*a))
+        for r in (F(1, 10**6), F(1), F(10**6), 2.5):
+            want = original(h, p, r).answer == "YES"
+            assert require_verdict(h, p, r) == want
+        assert calls == []
+        assert require_verdict(h, p, 0) is True
+        assert len(calls) == 1  # R = 0 keeps its path
+        with pytest.raises(InputError):
+            require_verdict(h, p, -1)
+
     def test_brackets_are_memoised_until_clear_cache(self):
         h = disjoint_edges(3)
         clear_cache()

@@ -118,6 +118,15 @@ class TestEvents:
         assert report.holds is False
         assert report.witness  # carries the failing tuple and window
 
+    def test_inductive_event_notes_subset_sampling_once(self):
+        # several sampled pattern tuples each sample their subsets
+        report = check_event_inductive(
+            Graph.cycle(5), [2, 2], F(1, 4), delta=0.3,
+            budget_subsets=4, budget_patterns=6, seed=3,
+        )
+        assert report.exhaustive is False
+        assert report.notes.count("subset space sampled beyond the budget") == 1
+
     def test_bad_event_on_pentagon(self):
         # the pentagon two-colouring avoiding mono triangles also defeats
         # the distribution threshold: there are no triangles at all
@@ -270,14 +279,3 @@ class TestSimultaneousArrows:
         assert 0.0 <= a.frequency <= 1.0
         # the per-trial statistic counts how many patterns arrowed
         assert all(0 <= stat <= 4 for _, _, _, stat in a.rows)
-
-
-class TestEventDispatcher:
-    def test_kind_routing(self):
-        from jcontainers.ramsey import check_event
-
-        g = Graph.cycle(5)
-        rep = check_event(g, "B", targets=[Graph.complete(3)] * 2, p=F(1, 5))
-        assert rep.name == "B" and rep.holds is True
-        with pytest.raises(InputError):
-            check_event(g, "nope")
