@@ -90,9 +90,6 @@ class CopyHypergraph:
     pattern: Graph
     witnesses: dict  # edge mask -> phi tuple aligned with sorted vertices
 
-    def witness_of(self, edge_mask: int):
-        return self.witnesses[edge_mask]
-
 
 def _check_pair(g_prime: Graph, g: Graph):
     if g_prime.n != g.n:

@@ -268,17 +268,6 @@ class VertexMap:
             out |= 1 << self.table[v]
         return out
 
-    def image_mask(self) -> int:
-        return self.apply_mask((1 << self.n_source) - 1)
-
-    def fiber_mask(self, target_mask: int) -> int:
-        """Pre-image of a target vertex set."""
-        out = 0
-        for v in range(self.n_source):
-            if target_mask >> self.table[v] & 1:
-                out |= 1 << v
-        return out
-
 
 def project(h: Hypergraph, pi: VertexMap) -> Hypergraph:
     """Image hypergraph {pi(E)}, deduplicated and sorted.  Pre-image counts,

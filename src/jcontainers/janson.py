@@ -13,12 +13,14 @@ R* = 1 / min equals the supremum of R for which the hypergraph is
 (p, R)-Janson; membership is strict, so R* itself is always a NO.
 
 Two solvers are provided.  The iterative one is conditional gradient
-(Frank-Wolfe) with away steps and exact line search; its gap certificate
+(Frank-Wolfe) with away steps and exact line search, in plain Python with
+O(m) rank-one steps; its gap certificate, recomputed from the final point,
 bounds the optimum from below by (primal - gap).  For small edge counts and
 rational p, an exact rational KKT enumeration over support patterns decides
 boundary cases with no tolerance at all.  The yes/no queries of
-:func:`require_verdict` try a cheaper exact bracket first: a Frank-Wolfe
-point made exact gives lambda_p(x) above the minimum and the dual bound
+:func:`require_verdict` try a cheaper exact bracket first: the same
+Frank-Wolfe loop, stopped once its float bracket clears 1/R, gives a point
+that made exact has lambda_p(x) above the minimum and the dual bound
 2 min_j (Qx)_j - x^T Q x below it, and the enumeration runs only when 1/R
 lies between the two.
 
@@ -34,6 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import BudgetError, InputError, UndecidedError
@@ -93,21 +96,12 @@ class JansonVerdict:
     note: str = ""
 
 
-def _overlap_rows(edges, p, exact: bool) -> list:
-    top = max((popcount(e) for e in edges), default=0)
+def overlap_matrix(h: Hypergraph, p, exact: bool) -> list:
+    """Q as a list of rows, with lambda_p(x) = x^T Q x for weights x on
+    h.edges."""
+    top = max((popcount(e) for e in h.edges), default=0)
     coef = [pair_coefficient(c, p, exact) for c in range(top + 1)]
-    return [[coef[popcount(a & b)] for b in edges] for a in edges]
-
-
-def overlap_matrix(h: Hypergraph, p, exact: bool):
-    """Q with lambda_p(x) = x^T Q x for weights x on h.edges."""
-    rows = _overlap_rows(h.edges, p, exact)
-    if exact:
-        return rows
-    import numpy as np  # loaded on the Frank-Wolfe path only
-
-    m = len(rows)
-    return np.array(rows, dtype=float).reshape(m, m)
+    return [[coef[popcount(a & b)] for b in h.edges] for a in h.edges]
 
 
 def _solve_rational(matrix, rhs):
@@ -185,73 +179,84 @@ def min_lambda_exact(h: Hypergraph, p) -> MinLambdaResult:
     return MinLambdaResult(best_value, witness, Fraction(0), 1 << m, exact=True)
 
 
-def min_lambda_fw(
-    h: Hypergraph,
-    p: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> MinLambdaResult:
-    """Conditional gradient with away steps and exact line search.
+def _frank_wolfe(q: list, max_iter: int, tol: float, target: Optional[float] = None):
+    """Away-step Frank-Wolfe with exact line search for min x^T q x over
+    the simplex, from the uniform point, ties going to the lowest index.
 
-    Deterministic: fixed uniform start, fixed step rule, ties broken by
-    numpy argmin/argmax (lowest index).  Terminates when the Frank-Wolfe
-    gap certifies the optimum within relative ``tol``; by convexity the
-    simplex minimum is at least (primal - gap).
-    """
-    import numpy as np  # loaded on the Frank-Wolfe path only
-
-    m = len(h.edges)
-    if m == 0:
-        raise InputError("minimum needs at least one edge")
-    q = overlap_matrix(h, float(p), exact=False)
-    x = np.full(m, 1.0 / m)
-    qx = q @ x
-    gap = 0.0
+    A step along e_i - x (toward vertex i) or x - e_i (away from an active
+    vertex i) moves Qx by the rank-one update Qx <- (1 - g) Qx + g q[i]
+    (g < 0 away), so it costs O(m): the slope is 2 ((Qx)_i - x^T Q x) and
+    the curvature 2 (q_ii - 2 (Qx)_i + x^T Q x).  It stops when the gap is
+    within relative ``tol`` of the value, when the line search stalls,
+    after ``max_iter`` steps or, given a ``target``, once the bracket
+    [value - gap, value] clears it by a relative margin of ``tol``.  The
+    point (normalised), its value and its gap are then recomputed in one
+    O(m^2) pass, so no rank-one drift reaches them.  Returns
+    (x, value, gap, iterations)."""
+    m = len(q)
+    x = [1.0 / m] * m
+    qx = [sum(map(mul, row, x)) for row in q]
+    yes_below = -INF if target is None else target * (1.0 - tol)
+    no_from = INF if target is None else target * (1.0 + tol)
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        grad = 2.0 * qx
-        i_fw = int(np.argmin(grad))
-        xg = float(x @ grad)
-        gap = max(xg - float(grad[i_fw]), 0.0)  # roundoff must not inflate the bound
-        value = float(x @ qx)
-        if gap <= tol * max(abs(value), 1e-300):
+        value = sum(map(mul, x, qx))
+        low = min(qx)
+        gap = max(2.0 * (value - low), 0.0)  # roundoff must not inflate the bound
+        if gap <= tol * max(abs(value), 1e-300) or value < yes_below or value - gap >= no_from:
             break
-        active = np.flatnonzero(x > 0)
-        i_aw = int(active[np.argmax(grad[active])])
-        away_gap = float(grad[i_aw]) - xg
-        if gap >= away_gap:
-            d = -x.copy()
-            d[i_fw] += 1.0
-            gamma_max = 1.0
+        top = max(itertools.compress(qx, x))  # over the active vertices
+        if gap >= 2.0 * (top - value):
+            i, sign, g_max, can_drop = qx.index(low), 1.0, 1.0, False
         else:
-            d = x.copy()
-            d[i_aw] -= 1.0
-            denom = 1.0 - x[i_aw]
-            gamma_max = x[i_aw] / denom if denom > 1e-15 else 1.0
-        qd = q @ d
-        curvature = 2.0 * float(d @ qd)
-        slope = float(grad @ d)
-        if curvature > 0:
-            gamma = min(gamma_max, max(0.0, -slope / curvature))
-        else:
-            gamma = gamma_max
+            i = qx.index(top)
+            while not x[i]:
+                i = qx.index(top, i + 1)
+            sign = -1.0
+            can_drop = 1.0 - x[i] > 1e-15
+            g_max = x[i] / (1.0 - x[i]) if can_drop else 1.0
+        slope = 2.0 * sign * (qx[i] - value)
+        curvature = 2.0 * (q[i][i] - 2.0 * qx[i] + value)
+        gamma = min(g_max, max(0.0, -slope / curvature)) if curvature > 0 else g_max
         if gamma == 0.0:
             break
-        x = x + gamma * d
-        np.clip(x, 0.0, None, out=x)
-        x /= x.sum()
-        qx = q @ x
-    value = float(x @ qx)
-    witness = Measure(h, tuple(float(v) for v in x), exact=False)
-    return MinLambdaResult(value, witness, gap, iterations, exact=False)
+        g = sign * gamma
+        c = 1.0 - g
+        x = [c * v for v in x]
+        x[i] += g
+        qx = [c * a + g * b for a, b in zip(qx, q[i])]
+        if x[i] < 0.0 or can_drop and gamma == g_max:
+            x[i] = 0.0  # a drop step leaves vertex i
+    total = sum(x)
+    x = [v / total for v in x]
+    qx = [sum(map(mul, row, x)) for row in q]
+    value = sum(map(mul, x, qx))
+    return x, value, max(2.0 * (value - min(qx)), 0.0), iterations
+
+
+def min_lambda_fw(h: Hypergraph, p: float, tol: float = DEFAULT_TOL) -> MinLambdaResult:
+    """Conditional gradient with away steps and exact line search.
+
+    Deterministic: fixed uniform start, fixed step rule, ties broken at the
+    lowest index.  Terminates when the Frank-Wolfe gap certifies the
+    optimum within relative ``tol`` (or after DEFAULT_MAX_ITER steps); by
+    convexity the simplex minimum is at least (primal - gap).
+    """
+    if not h.edges:
+        raise InputError("minimum needs at least one edge")
+    x, value, gap, iterations = _frank_wolfe(
+        overlap_matrix(h, float(p), exact=False), DEFAULT_MAX_ITER, tol
+    )
+    return MinLambdaResult(value, Measure(h, tuple(x), exact=False), gap, iterations, exact=False)
 
 
 def dual_lower_bound(witness: Measure, p):
     """Certified lower bound on the simplex minimum, recomputed from a
     feasible point without the solver: by convexity the minimum is at least
-    f(x) - (x . grad - min_i grad_i) = 2 min_i (Qx)_i - x^T Q x.  Pure
-    Python, so it double-checks the numpy path independently; on an exact
-    measure with rational p the bound is exact."""
+    f(x) - (x . grad - min_i grad_i) = 2 min_i (Qx)_i - x^T Q x.  It
+    shares nothing with the solver's loop, so it double-checks the
+    Frank-Wolfe certificate independently; on an exact measure with
+    rational p the bound is exact."""
     exact = witness.exact
     zero = Fraction(0) if exact else 0.0
     if exact:
@@ -259,7 +264,7 @@ def dual_lower_bound(witness: Measure, p):
     else:
         x = [float(w) for w in witness.weights]
         p = float(p)
-    q = _overlap_rows(witness.host.edges, p, exact)
+    q = overlap_matrix(witness.host, p, exact)
     grad = []
     for row in q:
         acc = zero
@@ -288,45 +293,30 @@ def _p_key(p):
     return ("f", float(p))
 
 
-def min_lambda(
-    h: Hypergraph,
-    p,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    method: str = "auto",
-) -> MinLambdaResult:
-    """Minimise lambda_p over mass-one measures on h; see the module
-    docstring for the two back ends.  Results are memoised on the canonical
-    edge order."""
+def min_lambda(h: Hypergraph, p, tol: float = DEFAULT_TOL) -> MinLambdaResult:
+    """Minimise lambda_p over mass-one measures on h: by the exact
+    enumeration for rational p and at most KKT_EDGE_CAP edges, by
+    Frank-Wolfe otherwise.  Results are memoised on the canonical edge
+    order."""
     if not h.edges:
         raise InputError("minimum needs at least one edge")
     if not 0 < p <= 1:
         raise InputError("p must lie in (0, 1]")
+    rational = isinstance(p, (Fraction, int))
     trivial = next((i for i, e in enumerate(h.edges) if popcount(e) <= 1), None)
     if trivial is not None:
-        exact = isinstance(p, (Fraction, int))
-        witness = Measure.unit_on(h, trivial, exact=exact)
-        zero = Fraction(0) if exact else 0.0
-        return MinLambdaResult(zero, witness, zero, 0, exact=exact)
+        witness = Measure.unit_on(h, trivial, exact=rational)
+        zero = Fraction(0) if rational else 0.0
+        return MinLambdaResult(zero, witness, zero, 0, exact=rational)
 
-    rational = isinstance(p, (Fraction, int))
-    if method == "auto":
-        method = "exact" if rational and len(h.edges) <= KKT_EDGE_CAP else "fw"
-    if method == "exact" and not rational:
-        raise InputError("exact minimisation needs a rational p")
-
-    key = (h.canonical_key(), _p_key(p), method, tol if method == "fw" else None)
+    exact = rational and len(h.edges) <= KKT_EDGE_CAP
+    key = (h.canonical_key(), _p_key(p), None if exact else tol)
     hit = _cache.get(key)
     if hit is not None:
         result, edge_order = hit
     else:
         canon = Hypergraph(h.n, tuple(sorted(h.edges)))
-        if method == "exact":
-            result = min_lambda_exact(canon, p)
-        elif method == "fw":
-            result = min_lambda_fw(canon, float(p), tol, max_iter)
-        else:
-            raise InputError(f"unknown method {method!r}")
+        result = min_lambda_exact(canon, p) if exact else min_lambda_fw(canon, float(p), tol)
         edge_order = canon.edges
         _cache[key] = (result, edge_order)
     if h.edges == edge_order:
@@ -416,11 +406,15 @@ def is_janson(h: Hypergraph, p, r, tol: float = DEFAULT_TOL) -> JansonVerdict:
 def require_verdict(h: Hypergraph, p, r, tol: float = DEFAULT_TOL, context: str = "") -> bool:
     """True/False for YES/NO; UNDECIDED aborts with the offending instance.
 
-    An edge of size <= 1 makes any R > 0 a YES (unit mass on it has zero
+    For R > 0, a hypergraph with no edges is a NO (no measure has positive
+    mass) and an edge of size <= 1 makes a YES (unit mass on it has zero
     overlap).  Exact queries are first put to :func:`_bracket_verdict`;
     only those its bracket cannot decide go through :func:`is_janson`."""
-    if r > 0 and any(popcount(e) <= 1 for e in h.edges):
-        return True
+    if r > 0:
+        if not h.edges:
+            return False
+        if any(popcount(e) <= 1 for e in h.edges):
+            return True
     decided = _bracket_verdict(h, p, r)
     if decided is not None:
         return decided
@@ -455,14 +449,15 @@ def _bracket_verdict(h: Hypergraph, p, r):
         return None
     canon_key = h.canonical_key()
     p_key = _p_key(p)
-    if (canon_key, p_key, "exact", None) in _cache:
+    if (canon_key, p_key, None) in _cache:
         return None
     key = (canon_key, p_key, Fraction(r))
     if key in _brackets:
         return _brackets[key]
     canon = Hypergraph(h.n, canon_key[1])
     try:
-        point = _fw_point(_overlap_rows(canon.edges, float(p), exact=False), 1.0 / float(r))
+        q = overlap_matrix(canon, float(p), exact=False)
+        point = _frank_wolfe(q, BRACKET_MAX_ITER, DEFAULT_TOL, 1.0 / float(r))[0]
         # on the dyadic grid of step 2^-48, the rounding residue moved to
         # the largest coordinate so that the mass is exactly one
         grid = [round(v * _GRID) for v in point]
@@ -478,49 +473,6 @@ def _bracket_verdict(h: Hypergraph, p, r):
         decided = None
     _brackets[key] = decided
     return decided
-
-
-def _fw_point(q: list, target: float) -> list:
-    """The away-step Frank-Wolfe of :func:`min_lambda_fw` on lists, stopped
-    as soon as the float bracket [value - gap, value] clears ``target`` by a
-    relative margin of DEFAULT_TOL, or the gap falls within DEFAULT_TOL of
-    the value."""
-    m = len(q)
-    yes_below = target * (1.0 - DEFAULT_TOL)
-    no_from = target * (1.0 + DEFAULT_TOL)
-    x = [1.0 / m] * m
-    for _ in range(BRACKET_MAX_ITER):
-        qx = [sum(a * b for a, b in zip(row, x)) for row in q]
-        grad = [2.0 * v for v in qx]
-        i_fw = min(range(m), key=grad.__getitem__)
-        xg = sum(g * v for g, v in zip(grad, x))
-        gap = max(xg - grad[i_fw], 0.0)
-        value = xg / 2
-        if value < yes_below or value - gap >= no_from or gap <= DEFAULT_TOL * value:
-            break
-        i_aw = max((i for i in range(m) if x[i] > 0), key=grad.__getitem__)
-        if gap >= grad[i_aw] - xg:
-            d = [-v for v in x]
-            d[i_fw] += 1.0
-            gamma_max = 1.0
-        else:
-            d = list(x)
-            d[i_aw] -= 1.0
-            denom = 1.0 - x[i_aw]
-            gamma_max = x[i_aw] / denom if denom > 1e-15 else 1.0
-        qd = [sum(a * b for a, b in zip(row, d)) for row in q]
-        curvature = 2.0 * sum(a * b for a, b in zip(d, qd))
-        slope = sum(g * v for g, v in zip(grad, d))
-        if curvature > 0:
-            gamma = min(gamma_max, max(0.0, -slope / curvature))
-        else:
-            gamma = gamma_max
-        if gamma == 0.0:
-            break
-        x = [max(v + gamma * dv, 0.0) for v, dv in zip(x, d)]
-        total = sum(x)
-        x = [v / total for v in x]
-    return x
 
 
 # ---------------------------------------------------------------------------

@@ -415,6 +415,22 @@ class TestRequireVerdict:
         with pytest.raises(InputError):
             require_verdict(h, p, -1)
 
+    @pytest.mark.parametrize("n", [0, 4])
+    @pytest.mark.parametrize("p", [F(1, 2), F(1, 64), 0.3])
+    def test_no_edges_answer_no_without_is_janson(self, monkeypatch, n, p):
+        h = Hypergraph(n, ())
+        calls = []
+        original = janson.is_janson
+        monkeypatch.setattr(janson, "is_janson", lambda *a: calls.append(a) or original(*a))
+        for r in (F(1, 10**6), F(1), F(10**6), 2.5):
+            assert original(h, p, r).answer == "NO"
+            assert require_verdict(h, p, r) is False
+        assert calls == []
+        assert require_verdict(h, p, 0) is True
+        assert len(calls) == 1  # R = 0 keeps its path
+        with pytest.raises(InputError):
+            require_verdict(h, p, -1)
+
     def test_brackets_are_memoised_until_clear_cache(self):
         h = disjoint_edges(3)
         clear_cache()

@@ -17,7 +17,7 @@ from jcontainers.janson import (
     min_lambda_fw,
     require_verdict,
 )
-from jcontainers.measures import lambda_p_pairwise, mass
+from jcontainers.measures import lambda_p_pairwise, mass, pair_coefficient
 from jcontainers.prng import SplitMix64
 from jcontainers.ramsey import check_event_inductive
 from jcontainers.hypercore import Graph
@@ -171,6 +171,30 @@ class TestLargeInstanceSolver:
         res = min_lambda_fw(h, 0.5, tol=1e-12)
         assert res.value == pytest.approx(expected, rel=1e-9)
         assert res.gap <= 1e-9 * expected
+
+    @pytest.mark.parametrize("seed", range(7))
+    def test_fw_certificate_matches_a_fresh_recompute(self, seed):
+        # value and gap are recomputed from the witness with no solver code:
+        # the rank-one steps must not drift into the reported certificate
+        import itertools
+
+        rng = SplitMix64(700 + seed)
+        if seed == 0:
+            h = Hypergraph(10, tuple(mask_of(c) for c in itertools.combinations(range(10), 3)))
+        else:
+            target = (4, 12, 30, 60, 90, 120)[seed - 1]
+            h = random_hypergraph(rng, 14, target, (2, 3, 4))
+        assert len(h.edges) <= 120
+        p = (0.5, 0.25, 0.1)[rng.below(3)]
+        res = min_lambda_fw(h, p)
+        x = res.witness.weights
+        coef = [pair_coefficient(c, p, False) for c in range(5)]
+        qx = [sum(coef[popcount(a & b)] * w for b, w in zip(h.edges, x)) for a in h.edges]
+        value = sum(w * v for w, v in zip(x, qx))
+        gap = max(2 * (value - min(qx)), 0.0)
+        assert res.value == pytest.approx(value, rel=1e-12)
+        assert abs(res.gap - gap) <= 1e-12 * value
+        assert res.gap <= 1e-9 * res.value
 
 
 class TestExtensionPipelineWithPositiveBase:
