@@ -459,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--hypergraph", required=True)
     ph.add_argument("--q", required=True)
     ph.add_argument("--alpha", required=True)
-    ph.add_argument("--verify", action="store_true", default=True)
     ph.add_argument("--no-verify", dest="verify", action="store_false")
     ph.add_argument("--paper-literal", action="store_true")
     ph.set_defaults(handler=cmd_hardcover)

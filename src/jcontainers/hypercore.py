@@ -13,7 +13,7 @@ by bit pattern so downstream fingerprints are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import BudgetError, InputError
 
@@ -149,11 +149,6 @@ class Graph:
             for u in bits_of(self.adj[v] & mask):
                 adj[pos[v]] |= 1 << pos[u]
         return Graph(len(verts), tuple(adj))
-
-    def union(self, other: "Graph") -> "Graph":
-        if self.n != other.n:
-            raise InputError("union requires a shared vertex set")
-        return Graph(self.n, tuple(a | b for a, b in zip(self.adj, other.adj)))
 
 
 @dataclass(frozen=True)
@@ -429,13 +424,6 @@ class Coloring:
                 raise InputError("colouring keys must be (u, v) with u < v")
             if not 1 <= c <= self.r:
                 raise InputError(f"colour {c} outside [1, {self.r}]")
-
-    @staticmethod
-    def of(graph: Graph, r: int, colours: Sequence[int]) -> "Coloring":
-        es = graph.edges()
-        if len(colours) != len(es):
-            raise InputError("colouring must be total on E(G)")
-        return Coloring(r, dict(zip(es, colours)))
 
     def color_subgraph(self, graph: Graph, colour: int) -> Graph:
         return Graph.from_edges(

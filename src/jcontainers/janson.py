@@ -406,10 +406,13 @@ def is_janson(h: Hypergraph, p, r, tol: float = DEFAULT_TOL) -> JansonVerdict:
 def require_verdict(h: Hypergraph, p, r, tol: float = DEFAULT_TOL, context: str = "") -> bool:
     """True/False for YES/NO; UNDECIDED aborts with the offending instance.
 
-    For R > 0, a hypergraph with no edges is a NO (no measure has positive
-    mass) and an edge of size <= 1 makes a YES (unit mass on it has zero
-    overlap).  Exact queries are first put to :func:`_bracket_verdict`;
-    only those its bracket cannot decide go through :func:`is_janson`."""
+    R = 0 is a YES by convention for every p in (0, 1].  For R > 0, a
+    hypergraph with no edges is a NO (no measure has positive mass) and an
+    edge of size <= 1 makes a YES (unit mass on it has zero overlap).  Exact
+    queries are first put to :func:`_bracket_verdict`; only those its
+    bracket cannot decide go through :func:`is_janson`."""
+    if r == 0 and 0 < p <= 1:
+        return True
     if r > 0:
         if not h.edges:
             return False
@@ -619,16 +622,18 @@ def aggregate_witnesses(
     parts = tuple(lambda_p(nu, p) for _, nu in family)
     lam_total = lambda_p(total, p)
 
-    # max over relevant L (|L| >= 2, positive degree) of #{S : L inside S}
-    seen: set[int] = set()
-    for e, w in zip(host.edges, total.weights):
-        if w > 0:
-            for sub in list(_relevant_subsets(e)):
-                seen.add(sub)
-    max_shared = 0
-    for l_mask in seen:
-        cnt = sum(1 for s_mask, _ in family if l_mask & ~s_mask == 0)
-        max_shared = max(max_shared, cnt)
+    # #{S : L inside S} only falls as L grows, so its maximum over the L
+    # with |L| >= 2 inside a positive-weight edge sits on a pair
+    pairs = {
+        (1 << u) | (1 << v)
+        for e, w in zip(host.edges, total.weights)
+        if w > 0
+        for u, v in itertools.combinations(bits_of(e), 2)
+    }
+    max_shared = max(
+        (sum(1 for s_mask, _ in family if l_mask & ~s_mask == 0) for l_mask in pairs),
+        default=0,
+    )
 
     bound = max_shared * sum(parts, Fraction(0) if exact else 0.0)
     slack = 0 if exact else 1e-9 * max(1.0, abs(float(bound)))
@@ -641,13 +646,3 @@ def aggregate_witnesses(
         chain_holds=bool(lam_total <= bound + slack),
     )
     return total, report
-
-
-def _relevant_subsets(edge_mask: int):
-    from .hypercore import submasks
-
-    if popcount(edge_mask) > 20:
-        raise BudgetError("aggregation subset scan capped at edge size 20")
-    for sub in submasks(edge_mask):
-        if popcount(sub) >= 2:
-            yield sub

@@ -182,13 +182,7 @@ def lambda_p_pairwise(m: Measure, p):
     return total
 
 
-def lambda_p(m: Measure, p, algorithm: str = "auto"):
-    if algorithm == "subsets":
-        return lambda_p_subsets(m, p)
-    if algorithm == "pairwise":
-        return lambda_p_pairwise(m, p)
-    if algorithm != "auto":
-        raise InputError(f"unknown lambda_p algorithm {algorithm!r}")
+def lambda_p(m: Measure, p):
     if all(popcount(e) <= SUBSET_EDGE_CAP for e in m.host.edges):
         return lambda_p_subsets(m, p)
     return lambda_p_pairwise(m, p)

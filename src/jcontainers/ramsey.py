@@ -75,59 +75,39 @@ def sample_gnhalf(n: int, seed: int) -> Graph:
 # Arrows search
 
 
-def _copy_candidates(g: Graph, targets: Sequence[Graph]):
-    """Per colour: the induced copies of its target and their inner edges."""
-    per_colour = []
-    for h in targets:
-        copies = induced_copy_hypergraph(h, g, g)
-        entries = []
-        for l_mask in copies.hyper.edges:
-            inner = [
-                (u, v)
-                for u, v in itertools.combinations(bits_of(l_mask), 2)
-                if g.has_edge(u, v)
-            ]
-            entries.append((l_mask, tuple(inner)))
-        per_colour.append(entries)
-    return per_colour
-
-
 def find_bad_coloring(
     g: Graph, targets: Sequence[Graph], budget: Optional[int] = None
 ) -> Optional[Coloring]:
     """A colouring with no colour-i induced copy of the i-th target, or None
     when exhaustive search proves every colouring has one.
 
-    Backtracks over edges sorted by maximum endpoint degree (earliest
-    pruning); a candidate copy fails the colouring as soon as all its inner
-    edges wear its colour.  Copies with no inner edges (edgeless targets that
-    appear in the host) defeat every colouring outright.
+    Backtracks over edge slots sorted by maximum endpoint degree (earliest
+    pruning).  Each candidate copy is the mask of its inner edge slots, filed
+    under its colour and its highest slot; it fails the colouring when that
+    slot is coloured and the colour wears every slot of the mask.  Copies
+    with no inner edges (edgeless targets that appear in the host) defeat
+    every colouring outright.
     """
     r = len(targets)
     if r < 1:
         raise InputError("at least one target colour is required")
-    per_colour = _copy_candidates(g, targets)
-    for entries in per_colour:
-        for _, inner in entries:
-            if not inner:
-                return None  # vacuously monochromatic in its colour
+    copies = [induced_copy_hypergraph(h, g, g).hyper.edges for h in targets]
     edges = sorted(
         g.edges(), key=lambda e: (-max(g.degree(e[0]), g.degree(e[1])), e)
     )
-    edge_index = {e: i for i, e in enumerate(edges)}
+    slot = {e: i for i, e in enumerate(edges)}
     m = len(edges)
-    # per colour, per candidate: which edge slots it watches
-    watchers: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
-    remaining: list[list[int]] = []
-    for colour, entries in enumerate(per_colour):
-        rem = []
-        for cand_id, (_, inner) in enumerate(entries):
-            rem.append(len(inner))
-            for e in inner:
-                watchers[edge_index[e]].append((colour, len(rem) - 1))
-        remaining.append(rem)
+    # closing[c][i]: inner-slot masks of the colour-c copies whose last slot is i
+    closing = [[[] for _ in range(m)] for _ in range(r)]
+    for c, l_masks in enumerate(copies):
+        for l_mask in l_masks:
+            pairs = itertools.combinations(bits_of(l_mask), 2)
+            inner = sum(1 << slot[e] for e in pairs if e in slot)
+            if not inner:
+                return None  # vacuously monochromatic in its colour
+            closing[c][inner.bit_length() - 1].append(inner)
 
-    assignment = [0] * m
+    worn = [0] * r  # per colour, the mask of slots wearing it
     explored = 0
 
     def backtrack(i: int) -> bool:
@@ -137,25 +117,16 @@ def find_bad_coloring(
             raise BudgetError("colouring search budget exceeded", partial=explored - 1)
         if i == m:
             return True
-        for colour in range(1, r + 1):
-            assignment[i] = colour
-            dead = False
-            touched = []
-            for c, cand in watchers[i]:
-                if c == colour - 1:
-                    remaining[c][cand] -= 1
-                    touched.append((c, cand))
-                    if remaining[c][cand] == 0:
-                        dead = True
-            if not dead and backtrack(i + 1):
+        for c in range(r):
+            worn[c] |= 1 << i
+            if all(inner & ~worn[c] for inner in closing[c][i]) and backtrack(i + 1):
                 return True
-            for c, cand in touched:
-                remaining[c][cand] += 1
-        assignment[i] = 0
+            worn[c] ^= 1 << i
         return False
 
     if backtrack(0):
-        return Coloring(r, dict(zip(edges, assignment)))
+        colour_of = {i: c + 1 for c in range(r) for i in bits_of(worn[c])}
+        return Coloring(r, {e: colour_of[i] for i, e in enumerate(edges)})
     return None
 
 

@@ -289,6 +289,48 @@ class TestAggregation:
         assert mass(total) == len(fam)
         assert report.chain_holds
 
+    def test_max_shared_matches_every_subset(self):
+        # the pair scan against the maximum over every L with |L| >= 2
+        # inside a positive-weight edge
+        rng = SplitMix64(11)
+        shared = []
+        for _ in range(60):
+            n = 3 + rng.below(5)
+            edges = {rng.sample_mask(n, 1 + rng.below(n)) for _ in range(1 + rng.below(5))}
+            host = Hypergraph(n, tuple(sorted(edges)))
+            fam = []
+            for _ in range(1 + rng.below(4)):
+                s_mask = rng.sample_mask(n, n - rng.below(3))
+                inside = [i for i, e in enumerate(host.edges) if e & ~s_mask == 0]
+                if not inside:
+                    continue
+                weights = [F(0)] * len(host.edges)
+                for _ in range(2):
+                    weights[inside[rng.below(len(inside))]] += F(1, 2)
+                fam.append((s_mask, Measure(host, tuple(weights))))
+            if not fam:
+                continue
+            total, report = aggregate_witnesses(fam, host, F(1, 2))
+            brute = max(
+                (
+                    sum(1 for s_mask, _ in fam if l_mask & ~s_mask == 0)
+                    for l_mask in range(1 << n)
+                    if bin(l_mask).count("1") >= 2
+                    and any(w > 0 and l_mask & ~e == 0 for e, w in zip(host.edges, total.weights))
+                ),
+                default=0,
+            )
+            assert report.max_shared == brute
+            shared.append(brute)
+        assert len(shared) >= 40 and max(shared) >= 3 and 0 in shared
+
+    def test_edges_above_twenty_vertices(self):
+        host = single_edge(24)
+        fam = [(host.edges[0], self.unit_on_edge(host, 0))] * 2
+        total, report = aggregate_witnesses(fam, host, F(1, 2))
+        assert report.max_shared == 2
+        assert report.chain_holds
+
 
 class TestSubJansonMonotone:
     @given(hypergraphs(min_n=2, max_n=6, max_edges=4, min_edge_size=2), st.data())
@@ -411,7 +453,7 @@ class TestRequireVerdict:
             assert require_verdict(h, p, r) == want
         assert calls == []
         assert require_verdict(h, p, 0) is True
-        assert len(calls) == 1  # R = 0 keeps its path
+        assert calls == []  # R = 0 is a YES by convention
         with pytest.raises(InputError):
             require_verdict(h, p, -1)
 
@@ -427,9 +469,32 @@ class TestRequireVerdict:
             assert require_verdict(h, p, r) is False
         assert calls == []
         assert require_verdict(h, p, 0) is True
-        assert len(calls) == 1  # R = 0 keeps its path
+        assert calls == []  # R = 0 is a YES by convention
         with pytest.raises(InputError):
             require_verdict(h, p, -1)
+
+    def test_r_zero_answers_yes_without_min_lambda(self, monkeypatch):
+        rng = SplitMix64(7)
+        cases = []
+        for _ in range(60):
+            n = 2 + rng.below(6)
+            edges = {rng.sample_mask(n, 1 + rng.below(n)) for _ in range(rng.below(6))}
+            p = [F(1, 2), F(1, 64), F(2, 3), 1, 0.3, 1.0][rng.below(6)]
+            cases.append((Hypergraph(n, tuple(sorted(edges))), p))
+        want = [is_janson(h, p, 0).answer == "YES" for h, p in cases]
+        calls = []
+        monkeypatch.setattr(janson, "min_lambda", lambda *a: calls.append(a))
+        for (h, p), yes in zip(cases, want):
+            for r in (0, F(0), 0.0):
+                assert require_verdict(h, p, r) is yes
+        assert calls == []
+
+    @pytest.mark.parametrize("p", [0, F(3, 2), -0.5, 2.0])
+    def test_r_zero_keeps_the_range_check(self, p):
+        with pytest.raises(InputError):
+            is_janson(disjoint_edges(2), p, 0)
+        with pytest.raises(InputError):
+            require_verdict(disjoint_edges(2), p, 0)
 
     def test_brackets_are_memoised_until_clear_cache(self):
         h = disjoint_edges(3)

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -93,6 +94,73 @@ class TestBadColoring:
     def test_budget(self):
         with pytest.raises(BudgetError):
             find_bad_coloring(Graph.complete(6), [Graph.complete(3)] * 2, budget=5)
+
+
+def _search_with_nodes(g, targets, budget=None):
+    """(outcome, nodes): the colours in sorted edge order, None, or the
+    budget's partial count; nodes counts the calls of the search's nested
+    ``backtrack`` under a profile hook, one per search node."""
+    codes = {
+        c for c in find_bad_coloring.__code__.co_consts
+        if getattr(c, "co_name", None) == "backtrack"
+    }
+    assert codes
+    nodes = 0
+
+    def hook(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code in codes:
+            nodes += 1
+
+    sys.setprofile(hook)
+    try:
+        found = find_bad_coloring(g, targets, budget)
+        outcome = None if found is None else "".join(str(c) for _, c in sorted(found.assignment.items()))
+    except BudgetError as exc:
+        outcome = exc.partial
+    finally:
+        sys.setprofile(None)
+    return outcome, nodes
+
+
+class TestSearchPinned:
+    """Outcomes and node counts of the arrows search, recorded from the
+    watcher-list implementation it replaced: the edge order, the colour
+    order and the pruning rule must all stay as they were."""
+
+    K3, K4 = Graph.complete(3), Graph.complete(4)
+
+    def test_k6_arrows_the_triangle(self):
+        assert _search_with_nodes(Graph.complete(6), [self.K3] * 2) == (None, 987)
+
+    def test_k5_bad_colouring(self):
+        assert _search_with_nodes(Graph.complete(5), [self.K3] * 2) == ("1122212211", 39)
+
+    def test_k9_budget_stops_at_its_cap(self):
+        got = _search_with_nodes(Graph.complete(9), [self.K3, self.K4], 20000)
+        assert got == (20000, 20001)
+
+    @pytest.mark.parametrize(
+        "n, seed, targets, expected",
+        [
+            (6, 1, "P3 P3", (None, 9)),
+            (7, 2, "P3 K3", ("212211122212", 44)),
+            (8, 3, "C4 P3", ("1111111221111", 14)),
+            (7, 4, "E1 E1", (None, 1)),
+            (8, 5, "P3 P3 P3", ("1121123222221213113", 20)),
+            (6, 6, "E0 K3", (None, 0)),  # an edgeless copy: no search at all
+        ],
+    )
+    def test_seeded_hosts(self, n, seed, targets, expected):
+        pattern = {
+            "P3": Graph.path(3),
+            "K3": self.K3,
+            "C4": Graph.cycle(4),
+            "E1": Graph.from_edges(3, [(0, 1)]),
+            "E0": Graph.empty(3),
+        }
+        g = sample_gnhalf(n, seed)
+        assert _search_with_nodes(g, [pattern[t] for t in targets.split()]) == expected
 
 
 class TestArrows:
