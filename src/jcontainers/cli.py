@@ -384,7 +384,10 @@ def cmd_ramsey(args):
             )
         elif args.kind == "E":
             sizes = [t.n for t in targets]
-            report = check_event_inductive(g, sizes, p, cfg.delta, seed=seed)
+            report = check_event_inductive(
+                g, sizes, p, cfg.delta, budget_colorings=cfg.budget_colorings,
+                budget_subsets=cfg.budget_subsets, seed=seed,
+            )
         else:
             raise InputError(f"unknown event kind {args.kind!r}")
         payload = {

@@ -461,7 +461,6 @@ class UniformContainerFamily:
 def uniform_container_oracle(
     h: Hypergraph,
     p,
-    tol: float = 1e-9,
     desk_cap: int = DESK_CAP,
 ) -> UniformContainerFamily:
     """Fallback search for the external uniform-container theorem: small
@@ -495,7 +494,7 @@ def uniform_container_oracle(
     def not_janson(x_mask: int) -> bool:
         sub = restrict_edges(h, x_mask)
         r_val = _eighth(p) * popcount(x_mask)
-        return not require_verdict(sub, p, r_val, tol, context="uniform-container oracle")
+        return not require_verdict(sub, p, r_val, context="uniform-container oracle")
 
     fam = UniformContainerFamily(h, p, s, (), {}, {})
     if popcount(union_mask) > 0 and not_janson(union_mask):
@@ -609,7 +608,7 @@ class PipelineFamily:
 
 
 def _container_core(
-    n: int, is_good, q_hc: Fraction, s: int, p, tol: float, cap: int, what: str
+    n: int, is_good, q_hc: Fraction, s: int, p, cap: int, what: str
 ) -> dict:
     """The steps both pipelines share, as PipelineFamily fields.
 
@@ -628,7 +627,7 @@ def _container_core(
     containers = set()
     for t_mask in fam_hc.fingerprints:
         slice_h = upset_slice(fam_hc.cover_hypergraph(t_mask), s)
-        oracle = uniform_container_oracle(slice_h, p, tol, cap)
+        oracle = uniform_container_oracle(slice_h, p, cap)
         incomplete.extend(f"T={t_mask:b}: {msg}" for msg in oracle.incomplete)
         violations.extend(f"T={t_mask:b}: {msg}" for msg in oracle.violations)
         for s_mask, x_mask in oracle.psi.items():
@@ -658,7 +657,6 @@ def non_janson_containers(
     q,
     r_param,
     eta=None,
-    tol: float = 1e-9,
     strict: bool = True,
 ) -> PipelineFamily:
     """Containers for vertex sets L whose induced sub-hypergraph misses the
@@ -701,7 +699,7 @@ def non_janson_containers(
 
     def is_good(l_mask: int) -> bool:
         return require_verdict(
-            restrict_edges(h, l_mask), p_inner, r_inner, tol,
+            restrict_edges(h, l_mask), p_inner, r_inner,
             context=f"auxiliary membership of {l_mask:b}",
         )
 
@@ -711,12 +709,12 @@ def non_janson_containers(
             "p": p, "q": q, "R": r_param, "eta": eta, "s": s, "n": h.n,
             "alpha": Fraction(1, 2), "scaled": scaled,
         },
-        **_container_core(h.n, is_good, q + p, s, p, tol, DESK_CAP, "vertex"),
+        **_container_core(h.n, is_good, q + p, s, p, DESK_CAP, "vertex"),
     )
     # every container's induced sub-hypergraph misses (p, R)
     for x_mask in family.containers:
         if require_verdict(
-            restrict_edges(h, x_mask), p, r_param, tol,
+            restrict_edges(h, x_mask), p, r_param,
             context=f"container {x_mask:b}",
         ):
             family.violations.append(
@@ -736,7 +734,6 @@ def extension_containers(
     r_prime,
     eta=None,
     r_colours: int = 2,
-    tol: float = 1e-9,
     strict: bool = True,
 ) -> PipelineFamily:
     """Containers on the two-layer universe for index sets I whose extended
@@ -791,7 +788,7 @@ def extension_containers(
     if base_copies.n != ext.m:
         raise InputError("base copies must live on the host universe")
     if r_prime > 0 and not require_verdict(
-        base_copies, p, r_prime, tol, context="base copies at (p, R')"
+        base_copies, p, r_prime, context="base copies at (p, R')"
     ):
         raise InputError("base copies are not certified (p, R')")
     base_embedded = Hypergraph(v + 1, base_copies.edges)
@@ -807,7 +804,7 @@ def extension_containers(
 
     def is_good(l_mask: int) -> bool:
         return require_verdict(
-            union_at(l_mask), p, r_union, tol,
+            union_at(l_mask), p, r_union,
             context=f"extended membership of {l_mask:b}",
         )
 
@@ -817,7 +814,7 @@ def extension_containers(
             "p": p, "q": q, "R": r_param, "R'": r_prime, "eta": eta,
             "r": r_colours, "s": s, "n": n, "scaled": scaled,
         },
-        **_container_core(n, is_good, q, s, p, tol, ZETA_CAP, "index"),
+        **_container_core(n, is_good, q, s, p, ZETA_CAP, "index"),
     )
 
     allowance = (n // (256 * r_colours))
@@ -830,7 +827,7 @@ def extension_containers(
         while True:
             projected = project(restrict_edges(h, y_mask), ext.pi)
             if not require_verdict(
-                projected, p, r_param, tol, context=f"trimmed container {y_mask:b}"
+                projected, p, r_param, context=f"trimmed container {y_mask:b}"
             ):
                 family.shrunk[x_mask] = y_mask
                 break

@@ -12,29 +12,27 @@ with Q[i][j] = (1 + 1/p)^c - 1 - c/p for c = |E_i & E_j|.  The threshold
 R* = 1 / min equals the supremum of R for which the hypergraph is
 (p, R)-Janson; membership is strict, so R* itself is always a NO.
 
-Two solvers are provided.  The iterative one is conditional gradient
-(Frank-Wolfe) with away steps and exact line search, in plain Python with
-O(m) rank-one steps; its gap certificate, recomputed from the final point,
-bounds the optimum from below by (primal - gap).  For small edge counts and
-rational p, an exact rational KKT enumeration over support patterns decides
-boundary cases with no tolerance at all.  The yes/no queries of
-:func:`require_verdict` try a cheaper exact bracket first: the same
-Frank-Wolfe loop, stopped once its float bracket clears 1/R, gives a point
-that made exact has lambda_p(x) above the minimum and the dual bound
-2 min_j (Qx)_j - x^T Q x below it, and the enumeration runs only when 1/R
+Two solvers are provided: conditional gradient (Frank-Wolfe) with away
+steps and exact line search, in plain Python with O(m) rank-one steps, and
+for small edge counts and rational p an exact rational KKT enumeration over
+support patterns.  Every verdict comes from one rule on a mass-one point x
+(:func:`_decide`): YES when R lambda_p(x) clears 1, NO when R times the dual
+bound 2 min_j (Qx)_j - x^T Q x, which lies below the minimum by convexity,
+reaches 1.  The yes/no queries of :func:`require_verdict` first put an exact
+copy of a short Frank-Wolfe run's point to it, and enumerate only when 1/R
 lies between the two.
 
-Special cases settled by hand: an edge of size <= 1 (including the empty
-edge) absorbs all mass with lambda = 0, so R* is infinite; a hypergraph with
-no edges admits no positive-mass measure, so R* = 0 and only the R = 0
-convention applies.
+Queries that need no solve are settled first (:func:`_settled`): an edge of
+size <= 1 (including the empty edge) absorbs all mass with lambda = 0, so R*
+is infinite; a hypergraph with no edges admits no positive-mass measure, so
+R* = 0 and only the R = 0 convention applies.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
@@ -319,109 +317,126 @@ def min_lambda(h: Hypergraph, p, tol: float = DEFAULT_TOL) -> MinLambdaResult:
         result = min_lambda_exact(canon, p) if exact else min_lambda_fw(canon, float(p), tol)
         edge_order = canon.edges
         _cache[key] = (result, edge_order)
-    if h.edges == edge_order:
-        return MinLambdaResult(result.value, Measure(h, result.witness.weights, result.exact), result.gap, result.iterations, result.exact)
-    weight_of = dict(zip(edge_order, result.witness.weights))
-    ws = tuple(weight_of[e] for e in h.edges)
-    return MinLambdaResult(
-        result.value, Measure(h, ws, result.exact), result.gap, result.iterations, result.exact
-    )
+    ws = result.witness.weights
+    if h.edges != edge_order:
+        weight_of = dict(zip(edge_order, ws))
+        ws = tuple(weight_of[e] for e in h.edges)
+    return replace(result, witness=Measure(h, ws, result.exact))
 
 
 def janson_threshold(h: Hypergraph, p, tol: float = DEFAULT_TOL):
     """R* = 1 / (simplex minimum of lambda_p); 0 for an edgeless hypergraph,
     infinity when an edge of size <= 1 lets lambda vanish at positive mass."""
-    if not h.edges:
+    settled = _settled(h, p, 1)  # R* does not depend on R; any R > 0 will do
+    if settled == "NO":
         return Fraction(0) if isinstance(p, (Fraction, int)) else 0.0
-    if any(popcount(e) <= 1 for e in h.edges):
+    if settled == "YES":
         return INF
-    result = min_lambda(h, p, tol)
-    if result.exact:
-        return Fraction(1) / result.value
-    return 1.0 / result.value
+    return 1 / min_lambda(h, p, tol).value
+
+
+def _settled(h: Hypergraph, p, r) -> Optional[str]:
+    """"YES" or "NO" for a query that needs no solve, else None.
+
+    R < 0 and p outside (0, 1] raise InputError whatever the edges.  R = 0
+    is YES by convention.  For R > 0, no edges is NO (no measure has
+    positive mass) and an edge of size <= 1 is YES (unit mass on it has
+    zero overlap)."""
+    if r < 0:
+        raise InputError("R must be nonnegative")
+    if not 0 < p <= 1:
+        raise InputError("p must lie in (0, 1]")
+    if r == 0:
+        return "YES"
+    if not h.edges:
+        return "NO"
+    if any(popcount(e) <= 1 for e in h.edges):
+        return "YES"
+    return None
+
+
+def _decide(x: Measure, p, r, tol: float, value):
+    """The one YES/NO rule, on a mass-one point x: (answer, dual bound at x
+    or None when it was not needed).
+
+    YES when R lambda_p(x) < 1 (exact x) or <= 1 - tol (floating x): x is
+    the witness, its overlap recomputed pairwise.  NO when R times
+    :func:`dual_lower_bound` at x is >= 1: by convexity that bound lies
+    below the simplex minimum, whatever solver produced x.  Otherwise
+    UNDECIDED.  The two tests cannot both pass, so ``value``, the caller's
+    estimate of lambda_p(x), only picks the test tried first: a query it
+    decides pays for one O(m^2) recomputation, not two."""
+    if x.exact:
+        r = Fraction(r)
+    else:
+        p, r = float(p), float(r)
+    dual = None
+    for test in ("NO", "YES") if r * value >= 1 else ("YES", "NO"):
+        if test == "YES":
+            lam = r * lambda_p_pairwise(x, p)
+            if lam < 1 if x.exact else lam <= 1.0 - tol:
+                return "YES", dual
+        else:
+            dual = dual_lower_bound(x, p)
+            if r * dual >= 1:
+                return "NO", dual
+    return "UNDECIDED", dual
 
 
 def is_janson(h: Hypergraph, p, r, tol: float = DEFAULT_TOL) -> JansonVerdict:
     """Three-valued verdict for the strict inequality lambda < mass^2 / R.
 
-    R = 0 is YES by convention.  On the exact path boundary cases are decided
-    outright; on the floating path YES requires the re-verified witness to
-    clear the bar with relative margin >= tol, NO requires the dual lower
-    bound to meet it, and anything between is an honest UNDECIDED.
+    Queries that need no solve are settled by :func:`_settled`.  Otherwise
+    the minimiser of :func:`min_lambda` goes through :func:`_decide`: always
+    on the exact path, and on the floating path only when the solver's own
+    value or lower bound (value - gap) can decide.  A NO carries the dual
+    bound at the minimiser, which on the exact path equals the minimum; an
+    exact minimiser that fails both tests gives UNDECIDED, never a guess.
     """
-    if r < 0:
-        raise InputError("R must be nonnegative")
-    if r == 0:
-        return JansonVerdict(
-            "YES", janson_threshold(h, p, tol), None, None, 0, 0, tol, True,
-            note="R = 0: every hypergraph qualifies by convention",
-        )
-    if not h.edges:
-        zero = Fraction(0) if isinstance(p, (Fraction, int)) else 0.0
-        return JansonVerdict(
-            "NO", zero, None, INF, 0, 0, tol, True,
-            note="no edges: no measure has positive mass",
-        )
-    if any(popcount(e) <= 1 for e in h.edges):
+    settled = _settled(h, p, r)
+    if settled is not None:
+        r_star = janson_threshold(h, p, tol)
+        if r == 0:
+            note = "R = 0: every hypergraph qualifies by convention"
+            return JansonVerdict("YES", r_star, None, None, 0, 0, tol, True, note)
+        if settled == "NO":
+            note = "no edges: no measure has positive mass"
+            return JansonVerdict("NO", r_star, None, INF, 0, 0, tol, True, note)
         idx = next(i for i, e in enumerate(h.edges) if popcount(e) <= 1)
         exact = isinstance(p, (Fraction, int)) and isinstance(r, (Fraction, int))
-        witness = Measure.unit_on(h, idx, exact=exact)
-        return JansonVerdict(
-            "YES", INF, witness, None, 0, 0, tol, exact,
-            note="unit mass on a size-<=1 edge has zero overlap",
-        )
-
+        witness = Measure.unit_on(h, idx, exact)
+        note = "unit mass on a size-<=1 edge has zero overlap"
+        return JansonVerdict("YES", r_star, witness, None, 0, 0, tol, exact, note)
     result = min_lambda(h, p, tol)
-    if result.exact:
-        r_star = Fraction(1) / result.value
-        # independent witness recomputation; equals the reported minimum
-        checked = lambda_p_pairwise(result.witness, Fraction(p))
-        if Fraction(r) * checked < 1:
-            return JansonVerdict("YES", r_star, result.witness, result.value, 0, result.iterations, tol, True)
-        return JansonVerdict("NO", r_star, None, result.value, 0, result.iterations, tol, True)
-
-    value = result.value
-    lower = result.lower_bound()
-    r_star = 1.0 / value
-    rf = float(r)
-    if rf * value < 1.0:
-        checked = lambda_p_pairwise(result.witness, float(p))
-        if rf * checked <= 1.0 - tol:
-            return JansonVerdict(
-                "YES", r_star, result.witness, lower, result.gap, result.iterations, tol, False
-            )
-    if rf * lower >= 1.0:
-        # re-derive the bound from the witness, independently of the solver
-        rechecked = dual_lower_bound(result.witness, float(p))
-        if rf * rechecked >= 1.0:
-            return JansonVerdict(
-                "NO", r_star, None, rechecked, result.gap, result.iterations, tol, False
-            )
-    return JansonVerdict(
-        "UNDECIDED", r_star, result.witness, lower, result.gap, result.iterations, tol, False,
-        note="optimum sits within tolerance of the strict boundary",
-    )
+    value, lower, exact = result.value, result.lower_bound(), result.exact
+    answer, dual = "UNDECIDED", None
+    if exact or float(r) * value < 1.0 or float(r) * lower >= 1.0:
+        answer, dual = _decide(result.witness, p, r, tol, value)
+    note = ""
+    if answer == "UNDECIDED":
+        note = (
+            "the enumeration's minimiser fails the re-check" if exact
+            else "optimum sits within tolerance of the strict boundary"
+        )
+    witness = None if answer == "NO" else result.witness
+    bound = dual if dual is not None and (exact or answer == "NO") else lower
+    gap = 0 if exact else result.gap
+    return JansonVerdict(answer, 1 / value, witness, bound, gap, result.iterations, tol, exact, note)
 
 
-def require_verdict(h: Hypergraph, p, r, tol: float = DEFAULT_TOL, context: str = "") -> bool:
+def require_verdict(h: Hypergraph, p, r, context: str = "") -> bool:
     """True/False for YES/NO; UNDECIDED aborts with the offending instance.
 
-    R = 0 is a YES by convention for every p in (0, 1].  For R > 0, a
-    hypergraph with no edges is a NO (no measure has positive mass) and an
-    edge of size <= 1 makes a YES (unit mass on it has zero overlap).  Exact
-    queries are first put to :func:`_bracket_verdict`; only those its
+    Queries that need no solve are settled by :func:`_settled`.  Exact
+    queries are then put to :func:`_bracket_verdict`; only those its
     bracket cannot decide go through :func:`is_janson`."""
-    if r == 0 and 0 < p <= 1:
-        return True
-    if r > 0:
-        if not h.edges:
-            return False
-        if any(popcount(e) <= 1 for e in h.edges):
-            return True
+    settled = _settled(h, p, r)
+    if settled is not None:
+        return settled == "YES"
     decided = _bracket_verdict(h, p, r)
     if decided is not None:
         return decided
-    verdict = is_janson(h, p, r, tol)
+    verdict = is_janson(h, p, r)
     if verdict.answer == "UNDECIDED":
         raise UndecidedError(
             f"Janson query undecided{': ' + context if context else ''}",
@@ -434,21 +449,13 @@ def _bracket_verdict(h: Hypergraph, p, r):
     """The exact answer to "is lambda_p < 1/R somewhere on the simplex?",
     or None when this shortcut does not apply or cannot tell.
 
-    It applies where :func:`is_janson` would enumerate: rational p and
-    R > 0, 1 <= m <= KKT_EDGE_CAP, every edge of size >= 2, and no memoised
-    minimum yet.  A floating Frank-Wolfe point x, made exact and of mass
-    one, brackets the minimum between the exact dual bound at x and
-    lambda_p(x): YES when R lambda_p(x) < 1, NO when R times the bound is
-    >= 1, and None when 1/R lies between the two."""
+    It applies, after :func:`_settled`, where :func:`is_janson` would
+    enumerate: rational p and R, at most KKT_EDGE_CAP edges, and no
+    memoised minimum yet.  A floating Frank-Wolfe point, made exact and of
+    mass one, goes through :func:`_decide`, which answers exactly; None
+    when 1/R lies between its dual bound and lambda_p."""
     rational = (Fraction, int)
-    if not (
-        isinstance(p, rational)
-        and isinstance(r, rational)
-        and 0 < p <= 1
-        and r > 0
-        and 1 <= len(h.edges) <= KKT_EDGE_CAP
-        and all(popcount(e) >= 2 for e in h.edges)
-    ):
+    if not (isinstance(p, rational) and isinstance(r, rational)) or len(h.edges) > KKT_EDGE_CAP:
         return None
     canon_key = h.canonical_key()
     p_key = _p_key(p)
@@ -460,7 +467,7 @@ def _bracket_verdict(h: Hypergraph, p, r):
     canon = Hypergraph(h.n, canon_key[1])
     try:
         q = overlap_matrix(canon, float(p), exact=False)
-        point = _frank_wolfe(q, BRACKET_MAX_ITER, DEFAULT_TOL, 1.0 / float(r))[0]
+        point, value = _frank_wolfe(q, BRACKET_MAX_ITER, DEFAULT_TOL, 1.0 / float(r))[:2]
         # on the dyadic grid of step 2^-48, the rounding residue moved to
         # the largest coordinate so that the mass is exactly one
         grid = [round(v * _GRID) for v in point]
@@ -468,13 +475,8 @@ def _bracket_verdict(h: Hypergraph, p, r):
         return None  # p, R or the overlaps beyond float range: enumerate
     grid[grid.index(max(grid))] += _GRID - sum(grid)
     x = Measure(canon, tuple(Fraction(k, _GRID) for k in grid), exact=True)
-    if r * lambda_p_pairwise(x, p) < 1:
-        decided = True
-    elif r * dual_lower_bound(x, p) >= 1:
-        decided = False
-    else:
-        decided = None
-    _brackets[key] = decided
+    answer = _decide(x, p, r, DEFAULT_TOL, value)[0]
+    decided = _brackets[key] = {"YES": True, "NO": False}.get(answer)
     return decided
 
 

@@ -91,7 +91,8 @@ def find_bad_coloring(
     r = len(targets)
     if r < 1:
         raise InputError("at least one target colour is required")
-    copies = [induced_copy_hypergraph(h, g, g).hyper.edges for h in targets]
+    built = {h: induced_copy_hypergraph(h, g, g).hyper.edges for h in dict.fromkeys(targets)}
+    copies = [built[h] for h in targets]  # one build per distinct target
     edges = sorted(
         g.edges(), key=lambda e: (-max(g.degree(e[0]), g.degree(e[1])), e)
     )
@@ -183,7 +184,7 @@ def _copies_inside(target: Graph, colour_graph: Graph, g: Graph, mask: int) -> H
     return Hypergraph(hyper.n, tuple(e for e in hyper.edges if e & ~mask == 0))
 
 
-def _sweep(report: EventReport, g: Graph, windows, p, budget: int, rng: SplitMix64, tol: float):
+def _sweep(report: EventReport, g: Graph, windows, p, budget: int, rng: SplitMix64):
     """The colouring sweep of every event: the first window (mask, targets,
     r_bar) and colouring of G[mask] under which no colour's copy hypergraph
     inside the mask has a (p, r_bar) witness, as (mask, targets, colouring),
@@ -203,7 +204,7 @@ def _sweep(report: EventReport, g: Graph, windows, p, budget: int, rng: SplitMix
                 if not any(
                     require_verdict(
                         _copies_inside(target, coloring.color_subgraph(gm, i), g, mask),
-                        p, r_bar, tol, context=context,
+                        p, r_bar, context=context,
                     )
                     for i, target in enumerate(targets, start=1)
                 ):
@@ -223,7 +224,6 @@ def check_event_bad(
     targets: Sequence[Graph],
     p,
     budget_colorings: int = 1 << 20,
-    tol: float = 1e-9,
     seed: int = 0,
 ) -> EventReport:
     """Does some colouring leave every colour's copy hypergraph without a
@@ -232,7 +232,7 @@ def check_event_bad(
     r_bar = Fraction(p) * g.n if isinstance(p, (Fraction, int)) else float(p) * g.n
     report = EventReport("B", holds=False)
     window = ((1 << g.n) - 1, targets, r_bar)
-    found = _sweep(report, g, [window], p, budget_colorings, SplitMix64(seed), tol)
+    found = _sweep(report, g, [window], p, budget_colorings, SplitMix64(seed))
     if found is not None:
         report.holds = True
         report.witness = {"coloring": dict(found[2].assignment)}
@@ -246,7 +246,6 @@ def check_event_bad_prime(
     delta: float,
     budget_colorings: int = 1 << 20,
     budget_subsets: int = 1 << 16,
-    tol: float = 1e-9,
     seed: int = 0,
 ) -> EventReport:
     """Does some vertex set S of proportional size carry a colouring of
@@ -273,7 +272,7 @@ def check_event_bad_prime(
     )
     subsets = _sample_subsets(subsets, budget_subsets, rng, report)
     windows = ((s_mask, targets, r_bar) for s_mask in subsets)
-    found = _sweep(report, g, windows, p, budget_colorings, rng, tol)
+    found = _sweep(report, g, windows, p, budget_colorings, rng)
     if found is not None:
         s_mask, _, coloring = found
         report.holds = True
@@ -302,7 +301,6 @@ def check_event_inductive(
     budget_patterns: int = 200,
     budget_subsets: int = 1 << 12,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> EventReport:
     """The inductive hypothesis event: for every smaller total pattern size,
     every pattern tuple, every large W and every colouring of G[W], some
@@ -340,7 +338,7 @@ def check_event_inductive(
                 r_bar = Fraction(p) * size if isinstance(p, (Fraction, int)) else float(p) * size
                 yield w_mask, patterns, r_bar
 
-    found = _sweep(report, g, windows(), p, budget_colorings, rng, tol)
+    found = _sweep(report, g, windows(), p, budget_colorings, rng)
     if found is not None:
         w_mask, patterns, coloring = found
         report.holds = False
@@ -373,7 +371,6 @@ def find_maximal_tuple(
     targets: Sequence[Graph],
     p,
     delta: float,
-    tol: float = 1e-9,
 ) -> MaximalTuple:
     """Greedy growth of a vertex set whose per-colour copy hypergraphs carry
     increasing thresholds: start from the first ceil(delta N) vertices of S,
@@ -405,7 +402,7 @@ def find_maximal_tuple(
             cand = u_mask | (1 << v)
             for i in range(r):
                 if require_verdict(
-                    hyper_in(i, cand), p, gains[i] + 1, tol,
+                    hyper_in(i, cand), p, gains[i] + 1,
                     context=f"growth step colour {i + 1}",
                 ):
                     u_mask = cand
@@ -416,7 +413,7 @@ def find_maximal_tuple(
                 break
 
     floor_ok = all(
-        require_verdict(hyper_in(i, u_mask), p, gains[i], tol, context="floor check")
+        require_verdict(hyper_in(i, u_mask), p, gains[i], context="floor check")
         for i in range(r)
     )
     ceiling_ok = True
@@ -424,7 +421,7 @@ def find_maximal_tuple(
         cand = u_mask | (1 << v)
         for i in range(r):
             if require_verdict(
-                hyper_in(i, cand), p, gains[i] + 1, tol, context="ceiling check"
+                hyper_in(i, cand), p, gains[i] + 1, context="ceiling check"
             ):
                 ceiling_ok = False
                 notes.append(f"vertex {v} still raises colour {i + 1}")
@@ -549,7 +546,6 @@ def extension_experiment(
     p=None,
     r_prime=None,
     colorings_per_trial: int = 8,
-    tol: float = 1e-9,
 ) -> FrequencyReport:
     """Frequency that some colour subgraph realises the extension-failure
     event at a fresh vertex, over random hosts.
@@ -590,7 +586,7 @@ def extension_experiment(
                     if deg >= m / (4 * r):
                         try:
                             janson = require_verdict(
-                                copies, p, r_prime + 1, tol, context="omega event"
+                                copies, p, r_prime + 1, context="omega event"
                             )
                         except UndecidedError:
                             indeterminate += 1

@@ -236,6 +236,28 @@ class TestDispatch:
         assert dispatch(["janson", "--hypergraph", single_edge_file] + numbers) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("p", ["2", "0"])
+    @pytest.mark.parametrize(
+        "text", ["hypergraph 3\n", "hypergraph 3\nE 0\nE 1 2\n"], ids=["edgeless", "size-1 edge"]
+    )
+    def test_janson_p_out_of_range_exits_2_whatever_the_edges(self, tmp_path, capsys, p, text):
+        path = tmp_path / "h.hg"
+        path.write_text(text)
+        for r in ("1", "0"):
+            assert dispatch(["janson", "--hypergraph", str(path), "--p", p, "--R", r]) == 2
+            captured = capsys.readouterr()
+            assert "input error" in captured.err and captured.out == ""
+
+    def test_event_e_takes_the_config_budgets(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("p = 1/5\ndelta = 0.3\nbudget_colorings = 1\nbudget_subsets = 2\n")
+        argv = ["ramsey", "event", "--kind", "E", "--G", "C5", "--H", "K2,K2", "--config", str(cfg)]
+        assert dispatch(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["exhaustive"] is False
+        assert "subset space sampled beyond the budget" in out["notes"]
+        assert "colouring space sampled beyond the budget" in out["notes"]
+
     @pytest.mark.parametrize("value", ["nan", "inf", "x"])
     def test_bad_float_config_value_exits_2(self, tmp_path, capsys, value):
         cfg = tmp_path / "c.cfg"

@@ -179,6 +179,43 @@ class TestVerdicts:
         no = is_janson(big, 0.5, 100.0)
         assert no.answer == "NO"
 
+    def test_faulty_enumeration_gives_undecided_not_no(self, monkeypatch):
+        # R* = 9/58 here, and the uniform point's lambda is 13/2: a minimiser
+        # that is not optimal must not turn R = 233/1508 < R* into a NO
+        h = Hypergraph.from_vertex_lists(5, [[0, 1, 2], [0, 1, 3], [0, 2, 4], [1, 3, 4]])
+        p, r = F(1, 2), F(233, 1508)
+        assert janson_threshold(h, p) == F(9, 58)
+
+        def uniform_point(host, p):
+            x = Measure(host, (F(1, 4),) * 4)
+            return janson.MinLambdaResult(lambda_p_pairwise(x, p), x, F(0), 16, True)
+
+        clear_cache()
+        monkeypatch.setattr(janson, "min_lambda_exact", uniform_point)
+        try:
+            v = is_janson(h, p, r)
+        finally:
+            clear_cache()
+        assert v.answer == "UNDECIDED" and v.exact and "re-check" in v.note
+        assert r * v.dual_bound < 1
+
+    def test_exact_no_carries_the_dual_bound_at_the_minimiser(self):
+        rng = SplitMix64(11)
+        checked = 0
+        for _ in range(40):
+            n = 3 + rng.below(4)
+            edges = {rng.sample_mask(n, 2 + rng.below(n - 1)) for _ in range(1 + rng.below(6))}
+            h = Hypergraph(n, tuple(sorted(edges)))
+            p = [F(1, 2), F(1, 5), F(2, 3), F(1)][rng.below(4)]
+            clear_cache()
+            best = min_lambda(h, p)
+            for r in (1 / best.value, 2 / best.value):
+                v = is_janson(h, p, r)
+                assert v.answer == "NO" and v.exact and v.witness is None
+                assert v.dual_bound == dual_lower_bound(best.witness, p) == best.value
+                checked += 1
+        assert checked == 80
+
     @given(hypergraphs(min_n=2, max_n=6, max_edges=4, min_edge_size=2), st.data())
     @settings(max_examples=40, deadline=None)
     def test_yes_witness_scales(self, h, data):
@@ -495,6 +532,16 @@ class TestRequireVerdict:
             is_janson(disjoint_edges(2), p, 0)
         with pytest.raises(InputError):
             require_verdict(disjoint_edges(2), p, 0)
+
+    @pytest.mark.parametrize("p", [0, F(3, 2), 2.0])
+    @pytest.mark.parametrize("edges", [(), (0b1, 0b110)])
+    def test_p_range_is_checked_before_the_edges(self, p, edges):
+        h = Hypergraph(3, edges)
+        for r in (0, F(1, 5), 2):
+            with pytest.raises(InputError):
+                is_janson(h, p, r)
+            with pytest.raises(InputError):
+                require_verdict(h, p, r)
 
     def test_brackets_are_memoised_until_clear_cache(self):
         h = disjoint_edges(3)

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from jcontainers import ramsey
 from jcontainers.errors import BudgetError, InputError
 from jcontainers.hypercore import Coloring, Graph, bits_of, mask_of
 from jcontainers.ramsey import (
@@ -170,6 +171,15 @@ class TestArrows:
 
     def test_single_edge_seven_colours(self):
         assert arrows_induced(Graph.complete(2), Graph.complete(2), 7)
+
+    def test_one_copy_build_per_distinct_target(self, monkeypatch):
+        builds = []
+        original = ramsey.induced_copy_hypergraph
+        monkeypatch.setattr(
+            ramsey, "induced_copy_hypergraph", lambda *a: builds.append(a) or original(*a)
+        )
+        assert arrows_induced(Graph.complete(6), Graph.complete(3), 2)
+        assert len(builds) == 1
 
 
 class TestEvents:
