@@ -138,7 +138,6 @@ CONFIG_KEYS = {
     "trials": int,
     "budget_colorings": int,
     "budget_subsets": int,
-    "C": int,
     "delta": float,
     "p": Fraction,
     "usize": int,
@@ -150,7 +149,6 @@ CONFIG_KEYS = {
     "Rprime": Fraction,
 }
 
-STRUCT_KEYS = {"usize", "ssize", "F", "w", "kind", "colorings", "Rprime"}
 COUNT_KEYS = {key for key, caster in CONFIG_KEYS.items() if caster is int} - {"seed"}
 
 
@@ -166,7 +164,8 @@ def _range_problem(key: str, value):
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Parse ``key = value`` lines into an experiment configuration.
+    """Parse ``key = value`` lines into an experiment configuration; a key
+    left out takes its ``ExperimentConfig`` default.
 
     Derived constants follow the canonical formulas unless a key overrides
     them, which flips the scaled flag.  Unknown keys and malformed lines
@@ -174,13 +173,10 @@ def load_config(path: str) -> ExperimentConfig:
     delta that is not positive and a negative count (every integer key but
     the seed)."""
     raw = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
+    for lineno, line in fileio.meaningful_lines(Path(path).read_text()):
+        if "=" not in line:
             raise InputError(f"line {lineno}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
+        key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in CONFIG_KEYS:
             raise InputError(f"line {lineno}: unknown key {key!r}")
@@ -195,12 +191,7 @@ def load_config(path: str) -> ExperimentConfig:
         problem = _range_problem(key, raw[key])
         if problem:
             raise InputError(f"line {lineno}: {problem}, got {value}")
-    extras = {k: raw.pop(k) for k in list(raw) if k in STRUCT_KEYS}
-    if "C" in raw:
-        raw["big_c"] = raw.pop("C")
-    cfg = ExperimentConfig(**raw)
-    cfg.extras = extras
-    return cfg
+    return ExperimentConfig(**raw)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -349,92 +340,76 @@ def _pipeline_result(family, extra: dict):
     return code, emit(payload), {}
 
 
-def _seed_from(args, cfg=None) -> int:
-    if getattr(args, "seed", None) is not None:
+def _seed_from(args, cfg: ExperimentConfig) -> int:
+    """``--seed``, else the config's seed, else ``JC_SEED``, else 0."""
+    if args.seed is not None:
         return args.seed
-    if cfg is not None and cfg.seed:
+    if cfg.seed is not None:
         return cfg.seed
     env = os.environ.get("JC_SEED")
     return int(env) if env else 0
 
 
-def cmd_ramsey(args):
-    if args.ramsey_cmd == "arrows":
-        g = load_graph(args.G)
-        h = load_graph(args.H)
-        result = arrows_induced(g, h, args.r, budget=args.budget)
-        return EXIT_OK, emit({"arrows": result, "r": args.r}), {}
+def cmd_arrows(args):
+    g = load_graph(args.G)
+    h = load_graph(args.H)
+    result = arrows_induced(g, h, args.r, budget=args.budget)
+    return EXIT_OK, emit({"arrows": result, "r": args.r}), {}
 
-    if args.ramsey_cmd == "event":
-        cfg = load_config(args.config) if args.config else ExperimentConfig()
-        g = load_graph(args.G)
-        targets = [load_graph(spec) for spec in args.H.split(",")]
-        p = cfg.p
-        seed = _seed_from(args, cfg)
-        if args.kind == "B":
-            report = check_event_bad(
-                g, targets, p, budget_colorings=cfg.budget_colorings, seed=seed
-            )
-        elif args.kind == "Bprime":
-            report = check_event_bad_prime(
-                g, targets, p, cfg.delta,
-                budget_colorings=cfg.budget_colorings,
-                budget_subsets=cfg.budget_subsets,
-                seed=seed,
-            )
-        elif args.kind == "E":
-            sizes = [t.n for t in targets]
-            report = check_event_inductive(
-                g, sizes, p, cfg.delta, budget_colorings=cfg.budget_colorings,
-                budget_subsets=cfg.budget_subsets, seed=seed,
-            )
-        else:
-            raise InputError(f"unknown event kind {args.kind!r}")
-        payload = {
-            "event": report.name,
-            "holds": report.holds,
-            "exhaustive": report.exhaustive,
-            "witness": report.witness,
-            "notes": report.notes,
-            "scaled": cfg.scaled,
-        }
-        code = EXIT_UNDECIDED if report.holds is None else EXIT_OK
-        return code, emit(payload), {}
 
-    if args.ramsey_cmd == "mc":
-        cfg = load_config(args.config) if args.config else ExperimentConfig()
-        seed = _seed_from(args, cfg)
-        if args.experiment == "chernoff":
-            n = cfg.n or 64
-            report = chernoff_experiment(
-                n, cfg.extras.get("usize", 8), cfg.extras.get("ssize", 32),
-                cfg.trials, seed,
-            )
-        elif args.experiment == "extension":
-            f = load_graph(cfg.extras.get("F", "P3"))
-            report = extension_experiment(
-                f,
-                cfg.extras.get("w", 0),
-                cfg.m or 8,
-                cfg.r,
-                cfg.trials,
-                seed,
-                kind=cfg.extras.get("kind", "gamma"),
-                p=cfg.p,
-                r_prime=cfg.extras.get("Rprime", Fraction(0)),
-                colorings_per_trial=cfg.extras.get("colorings", 8),
-            )
-        else:
-            raise InputError(f"unknown experiment {args.experiment!r}")
-        lines = ["trial,seed,outcome,statistic"]
-        lines += [f"{t},{s},{o},{st}" for t, s, o, st in report.rows]
-        comment = (
-            f"# frequency={report.frequency} bound={report.theory_bound}"
-            + (f" exact={report.exact_reference}" if report.exact_reference is not None else "")
+def cmd_event(args):
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    g = load_graph(args.G)
+    targets = [load_graph(spec) for spec in args.H.split(",")]
+    sampling = {"budget_colorings": cfg.budget_colorings, "seed": _seed_from(args, cfg)}
+    if args.kind == "B":
+        report = check_event_bad(g, targets, cfg.p, **sampling)
+    elif args.kind == "Bprime":
+        report = check_event_bad_prime(
+            g, targets, cfg.p, cfg.delta, budget_subsets=cfg.budget_subsets, **sampling
         )
-        return EXIT_OK, "\n".join(lines + [comment]) + "\n", {}
+    else:
+        sizes = [t.n for t in targets]
+        report = check_event_inductive(
+            g, sizes, cfg.p, cfg.delta, budget_subsets=cfg.budget_subsets, **sampling
+        )
+    payload = {
+        "event": report.name,
+        "holds": report.holds,
+        "exhaustive": report.exhaustive,
+        "witness": report.witness,
+        "notes": report.notes,
+        "scaled": cfg.scaled,
+    }
+    code = EXIT_UNDECIDED if report.holds is None else EXIT_OK
+    return code, emit(payload), {}
 
-    raise InputError(f"unknown ramsey subcommand {args.ramsey_cmd!r}")
+
+def cmd_mc(args):
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    seed = _seed_from(args, cfg)
+    if args.experiment == "chernoff":
+        report = chernoff_experiment(cfg.n, cfg.usize, cfg.ssize, cfg.trials, seed)
+    else:
+        report = extension_experiment(
+            load_graph(cfg.F),
+            cfg.w,
+            cfg.m,
+            cfg.r,
+            cfg.trials,
+            seed,
+            kind=cfg.kind,
+            p=cfg.p,
+            r_prime=cfg.Rprime,
+            colorings_per_trial=cfg.colorings,
+        )
+    lines = ["trial,seed,outcome,statistic"]
+    lines += [f"{t},{s},{o},{st}" for t, s, o, st in report.rows]
+    comment = (
+        f"# frequency={report.frequency} bound={report.theory_bound}"
+        + (f" exact={report.exact_reference}" if report.exact_reference is not None else "")
+    )
+    return EXIT_OK, "\n".join(lines + [comment]) + "\n", {}
 
 
 # ---------------------------------------------------------------------------
@@ -502,19 +477,38 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--H", required=True)
     pa.add_argument("--r", type=int, required=True)
     pa.add_argument("--budget", type=int)
+    pa.set_defaults(handler=cmd_arrows)
     pev = rsub.add_parser("event")
     pev.add_argument("--kind", required=True, choices=["B", "Bprime", "E"])
     pev.add_argument("--G", required=True)
     pev.add_argument("--H", required=True, help="comma-separated targets")
     pev.add_argument("--config")
     pev.add_argument("--seed", type=int)
+    pev.set_defaults(handler=cmd_event)
     pmc = rsub.add_parser("mc")
     pmc.add_argument("--experiment", required=True, choices=["chernoff", "extension"])
     pmc.add_argument("--config")
     pmc.add_argument("--seed", type=int)
-    pr.set_defaults(handler=cmd_ramsey)
+    pmc.set_defaults(handler=cmd_mc)
 
     return top
+
+
+def _input_files(args):
+    """(record key, path) for each file read; a graph argument may name a
+    built-in graph, and a ``--H`` list keys its files ``H[i]`` by position."""
+    for key in ("hypergraph", "target", "cover", "config"):
+        path = getattr(args, key, None)
+        if path:
+            yield key, path
+    for key in ("G", "Gprime", "F", "H"):
+        specs = getattr(args, key, None)
+        if not specs:
+            continue
+        specs = specs.split(",") if key == "H" else [specs]
+        for i, spec in enumerate(specs):
+            if not _NAMED_GRAPH.match(spec):
+                yield (key if len(specs) == 1 else f"{key}[{i}]"), spec
 
 
 def _run(args, argv) -> int:
@@ -524,16 +518,11 @@ def _run(args, argv) -> int:
     code, payload_text, extra_files = args.handler(args)
     sys.stdout.write(payload_text)
     if args.out:
-        digests = {}
-        for key in ("hypergraph", "target", "cover", "G", "Gprime", "F", "H", "config"):
-            value = getattr(args, key, None)
-            if value and Path(str(value)).exists():
-                digests[key] = _digest(str(value))
         record = RunRecord(
             command=list(argv),
             config={k: _jsonable(v) for k, v in vars(args).items() if k != "handler"},
             version=__version__,
-            input_digests=digests,
+            input_digests={key: _digest(path) for key, path in _input_files(args)},
             started=started,
             exit_status=code,
         )

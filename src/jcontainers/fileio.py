@@ -29,7 +29,8 @@ from .measures import Measure
 EXPONENT_CAP = 4300
 
 
-def _meaningful_lines(text: str):
+def meaningful_lines(text: str):
+    """(line number, stripped line) for each non-blank, non-comment line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
@@ -59,7 +60,7 @@ def _vertex(token: str, lineno: int, n: int) -> int:
 
 
 def parse_graph(text: str) -> Graph:
-    lines = list(_meaningful_lines(text))
+    lines = list(meaningful_lines(text))
     if not lines:
         raise InputError("empty graph file")
     lineno, header = lines[0]
@@ -90,7 +91,7 @@ def write_graph(g: Graph) -> str:
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
-    lines = list(_meaningful_lines(text))
+    lines = list(meaningful_lines(text))
     if not lines:
         raise InputError("empty hypergraph file")
     lineno, header = lines[0]
@@ -154,7 +155,7 @@ def parse_measure(text: str, host: Hypergraph, exact: bool = True) -> Measure:
     zero = Fraction(0) if exact else 0.0
     weights = [zero] * len(host.edges)
     seen = set()
-    for lineno, line in _meaningful_lines(text):
+    for lineno, line in meaningful_lines(text):
         parts = line.split()
         if len(parts) != 3 or parts[0] != "w":
             raise InputError(f"line {lineno}: expected 'w <edge-index> <value>'")

@@ -166,7 +166,7 @@ def min_lambda_exact(h: Hypergraph, p) -> MinLambdaResult:
         xs = sol[:k]
         if any(v < 0 for v in xs):
             continue
-        value = sum(xs[a] * q[i][j] * xs[b] for a, i in enumerate(idx) for b, j in enumerate(idx))
+        value = sol[k] / 2
         if best_value is None or value < best_value:
             best_value = value
             full = [Fraction(0)] * m

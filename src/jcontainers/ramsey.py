@@ -25,35 +25,38 @@ from .prng import SplitMix64
 
 @dataclass
 class ExperimentConfig:
-    """Run parameters plus the derived constants; overriding a derived
-    constant flips ``scaled`` so reports can flag non-canonical parameters."""
+    """Every config-file key with its default, plus the derived constants;
+    overriding a derived constant sets ``scaled`` so reports can flag
+    non-canonical parameters.  An unset ``seed`` is None."""
 
     r: int = 2
     k: int = 3
-    n: Optional[int] = None
-    m: Optional[int] = None
-    seed: int = 0
+    n: int = 64
+    m: int = 8
+    seed: Optional[int] = None
     trials: int = 100
     budget_colorings: int = 1 << 20
     budget_subsets: int = 1 << 16
-    big_c: int = 300
     delta: Optional[float] = None
     p: Optional[Fraction] = None
-    scaled: bool = field(default=False)
-    extras: dict = field(default_factory=dict)
+    usize: int = 8
+    ssize: int = 32
+    F: str = "P3"
+    w: int = 0
+    kind: str = "gamma"
+    colorings: int = 8
+    Rprime: Fraction = Fraction(0)
+    scaled: bool = field(init=False)
 
     def __post_init__(self):
         if self.r < 1 or self.k < 1:
             raise InputError("r and k must be at least 1")
+        self.scaled = self.delta is not None or self.p is not None
         if self.delta is None:
             self.delta = float(self.r) ** -50
-        else:
-            self.scaled = True
         if self.p is None:
             self.p = Fraction(1, (1 << 25) * self.k**2 * self.r**4)
-        else:
-            self.p = Fraction(self.p)
-            self.scaled = True
+        self.p = Fraction(self.p)
 
 
 def sample_gnhalf(n: int, seed: int) -> Graph:
@@ -555,8 +558,8 @@ def extension_experiment(
     hypergraph misses (p, R' + 1).  The candidate subgraphs are the colour
     classes of sampled colourings (exhaustive subgraph search is out of
     reach); the report notes that the full-scale bound is vacuous here."""
-    if m > 16:
-        raise InputError("host size capped at 16")
+    if not 1 <= m <= 16:
+        raise InputError(f"host size must lie in [1, 16], got {m}")
     if r > 3:
         raise InputError("colour count capped at 3")
     if kind not in ("gamma", "omega"):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from jcontainers.cli import dispatch, load_config, load_graph
 from jcontainers.errors import InputError
 from jcontainers.hypercore import Graph, Hypergraph, mask_of
 from jcontainers.measures import Measure
+from jcontainers.ramsey import ExperimentConfig
 
 from conftest import hypergraphs, rational_weights
 from hypothesis import strategies as st
@@ -222,6 +224,31 @@ class TestDispatch:
         via_flag = capsys.readouterr().out
         assert via_env == via_flag
 
+    def test_config_seed_zero_beats_env_seed(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 0\ntrials = 5\nusize = 4\nssize = 8\nn = 16\n")
+        argv = ["ramsey", "mc", "--experiment", "chernoff", "--config", str(cfg)]
+        outs = {}
+        for flag in ("0", "77"):
+            assert dispatch(argv + ["--seed", flag]) == 0
+            outs[flag] = capsys.readouterr().out
+        assert outs["0"] != outs["77"]
+        monkeypatch.setenv("JC_SEED", "77")
+        assert dispatch(argv) == 0
+        assert capsys.readouterr().out == outs["0"]
+
+    @pytest.mark.parametrize(
+        "experiment, text",
+        [("chernoff", "n = 0\n"), ("extension", "trials = 2\nm = 0\n")],
+    )
+    def test_zero_size_config_reaches_the_range_check(self, tmp_path, capsys, experiment, text):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        argv = ["ramsey", "mc", "--experiment", experiment, "--config", str(cfg)]
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert "input error" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize(
         "numbers",
         [
@@ -426,6 +453,30 @@ class TestPipelineCommands:
             assert "hypergraph" in record["input_digests"]
         assert outs[0] == outs[1]
 
+    def test_run_record_digests_exactly_the_files_read(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        files = {
+            "k2.graph": "graph 2\ne 0 1\n",
+            "e2.graph": "graph 2\n",
+            "K4": "graph 4\n",  # shadows the built-in name, which wins
+            "b.cfg": "p = 1\ndelta = 0.3\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        sha = {name: cli._digest(name) for name in files}
+        argv = ["ramsey", "event", "--kind", "B", "--G", "K4", "--config", "b.cfg", "--H"]
+        runs = {
+            "k2.graph,e2.graph": {"H[0]": sha["k2.graph"], "H[1]": sha["e2.graph"]},
+            "K2,e2.graph": {"H[1]": sha["e2.graph"]},
+            "e2.graph": {"H": sha["e2.graph"]},
+        }
+        for i, (targets, digests) in enumerate(runs.items()):
+            assert dispatch(["--out", f"o{i}"] + argv + [targets]) == 0
+            capsys.readouterr()
+            record = json.loads((tmp_path / f"o{i}" / "record.json").read_text())
+            assert record["input_digests"] == {**digests, "config": sha["b.cfg"]}
+            assert record["config"]["ramsey_cmd"] == "event"
+
 
 class TestConfig:
     def test_defaults_from_formulas(self, tmp_path):
@@ -461,6 +512,18 @@ class TestConfig:
         path.write_text("")
         cfg = load_config(str(path))
         assert cfg.r == 2 and cfg.k == 3
+
+    def test_c_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("C = 5\ntrials = 2\n")
+        argv = ["ramsey", "mc", "--experiment", "chernoff", "--config", str(cfg)]
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert "line 1: unknown key 'C'" in captured.err and captured.out == ""
+
+    def test_every_config_key_is_a_field(self):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(cli.CONFIG_KEYS) == names - {"scaled"}
 
 
 class TestDeterminism:

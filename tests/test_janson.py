@@ -103,6 +103,24 @@ class TestMinLambda:
         res = min_lambda(h, F(1, 2))
         assert lambda_p_pairwise(res.witness, F(1, 2)) == res.value
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_exact_minimum_is_the_witness_value(self, seed):
+        # the enumeration reads each face's value off the KKT system as
+        # lam / 2; x^T Q x is recomputed here from the subset definition
+        rng = SplitMix64(seed)
+        n, m = 4 + seed % 6, 1 + seed % 10
+        edges = set()
+        while len(edges) < m:
+            edges.add(1 + rng.below((1 << n) - 1))
+        h = Hypergraph(n, tuple(sorted(edges)))
+        p = [F(1, 2), F(1, 3), F(2, 3), F(1, 5), F(1, 64), F(1)][seed % 6]
+        best = min_lambda_exact(h, p)
+        assert all(w >= 0 for w in best.witness.weights) and mass(best.witness) == 1
+        assert best.value == lambda_p_subsets(best.witness, p)
+        for i in range(m):
+            vertex = Measure(h, tuple(F(int(j == i)) for j in range(m)))
+            assert best.value <= lambda_p_subsets(vertex, p)
+
 
 class TestThreshold:
     def test_single_2edge(self):

@@ -27,7 +27,6 @@ class TestConfig:
         cfg = ExperimentConfig(r=2, k=3)
         assert cfg.p == F(1, (1 << 25) * 9 * 16)
         assert cfg.delta == 2.0**-50
-        assert cfg.big_c == 300
         assert not cfg.scaled
 
     def test_override_sets_scaled_flag(self):
