@@ -16,6 +16,7 @@ record, never in the payload.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -23,6 +24,8 @@ import math
 import os
 import re
 import sys
+import typing
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -56,27 +59,47 @@ EXIT_UNDECIDED = 4
 EXIT_INTERNAL = 5
 
 _NAMED_GRAPH = re.compile(r"^([KPCE])(\d+)$")
+_BUILT_IN = {"K": Graph.complete, "P": Graph.path, "C": Graph.cycle, "E": Graph.empty}
+
+# run-record key -> sha256 of each input file read by the dispatch call in
+# progress; unset outside a dispatch call
+_digests: ContextVar = ContextVar("input_digests", default=None)
+
+
+def _read(path: str, key: str) -> str:
+    """The text of one input file.  The file is opened once, and inside a
+    dispatch call the sha256 of the bytes parsed is kept under ``key``
+    (``hypergraph``, ``target``, ``cover``, ``config``, ``G``, ``Gprime``,
+    ``F``, ``H`` or ``H[i]``)."""
+    data = Path(path).read_bytes()
+    digests = _digests.get()
+    if digests is not None:
+        digests[key] = hashlib.sha256(data).hexdigest()
+    try:
+        return data.decode()
+    except UnicodeDecodeError:
+        raise InputError(f"{key} file {path} is not UTF-8 text") from None
+
+
+def _graph(spec: str, key: str) -> Graph:
+    """A named graph (K5, P4, C6, E3), which reads nothing, or the graph
+    file ``spec`` read under ``key``."""
+    m = _NAMED_GRAPH.match(spec)
+    if not m:
+        return fileio.parse_graph(_read(spec, key))
+    num = int(m.group(2))
+    if num > UNIVERSE_CAP:
+        raise InputError(f"graph {spec} exceeds the universe cap {UNIVERSE_CAP}")
+    return _BUILT_IN[m.group(1)](num)
 
 
 def load_graph(spec: str) -> Graph:
     """A named graph (K5, P4, C6, E3) or a graph file path."""
-    m = _NAMED_GRAPH.match(spec)
-    if m:
-        kind, num = m.group(1), int(m.group(2))
-        if num > UNIVERSE_CAP:
-            raise InputError(f"graph {spec} exceeds the universe cap {UNIVERSE_CAP}")
-        if kind == "K":
-            return Graph.complete(num)
-        if kind == "P":
-            return Graph.path(num)
-        if kind == "C":
-            return Graph.cycle(num)
-        return Graph.empty(num)
-    return fileio.parse_graph(Path(spec).read_text())
+    return _graph(spec, "G")
 
 
-def load_hypergraph(spec: str):
-    return fileio.parse_hypergraph(Path(spec).read_text())
+def _hypergraph(path: str, key: str):
+    return fileio.parse_hypergraph(_read(path, key))
 
 
 def _jsonable(value):
@@ -113,10 +136,6 @@ class RunRecord:
     artifacts: dict = field(default_factory=dict)
 
 
-def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def persist(outdir: str, record: RunRecord, payload_text: str, extra_files: dict):
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
@@ -129,25 +148,19 @@ def persist(outdir: str, record: RunRecord, payload_text: str, extra_files: dict
     (out / "record.json").write_text(emit(record.__dict__))
 
 
-CONFIG_KEYS = {
-    "r": int,
-    "k": int,
-    "n": int,
-    "m": int,
-    "seed": int,
-    "trials": int,
-    "budget_colorings": int,
-    "budget_subsets": int,
-    "delta": float,
-    "p": Fraction,
-    "usize": int,
-    "ssize": int,
-    "F": str,
-    "w": int,
-    "kind": str,
-    "colorings": int,
-    "Rprime": Fraction,
-}
+def _config_keys() -> dict:
+    """Config key -> the type its value is read as, one per
+    ``ExperimentConfig`` init field; ``Optional[T]`` reads as T."""
+    hints = typing.get_type_hints(ExperimentConfig)
+    keys = {}
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.init:
+            present = [t for t in typing.get_args(hints[f.name]) if t is not type(None)]
+            keys[f.name] = present[0] if present else hints[f.name]
+    return keys
+
+
+CONFIG_KEYS = _config_keys()
 
 COUNT_KEYS = {key for key, caster in CONFIG_KEYS.items() if caster is int} - {"seed"}
 
@@ -173,7 +186,7 @@ def load_config(path: str) -> ExperimentConfig:
     delta that is not positive and a negative count (every integer key but
     the seed)."""
     raw = {}
-    for lineno, line in fileio.meaningful_lines(Path(path).read_text()):
+    for lineno, line in fileio.meaningful_lines(_read(path, "config")):
         if "=" not in line:
             raise InputError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
@@ -210,7 +223,7 @@ def _positive_tolerance(text: str) -> float:
 
 
 def cmd_janson(args):
-    h = load_hypergraph(args.hypergraph)
+    h = _hypergraph(args.hypergraph, "hypergraph")
     p = _parse_rational(args.p)
     r = _parse_rational(args.R)
     verdict = is_janson(h, p, r, args.tol)
@@ -231,9 +244,7 @@ def cmd_janson(args):
 
 
 def cmd_copies(args):
-    f = load_graph(args.F)
-    gp = load_graph(args.Gprime)
-    g = load_graph(args.G)
+    f, gp, g = (_graph(getattr(args, key), key) for key in ("F", "Gprime", "G"))
     copies = induced_copy_hypergraph(f, gp, g)
     hg_text = fileio.write_hypergraph(copies.hyper)
     prov_lines = []
@@ -254,7 +265,7 @@ def cmd_copies(args):
 
 
 def cmd_hardcover(args):
-    h = load_hypergraph(args.hypergraph)
+    h = _hypergraph(args.hypergraph, "hypergraph")
     family = hardcover_family(
         h,
         _parse_rational(args.q),
@@ -275,8 +286,8 @@ def cmd_hardcover(args):
 
 
 def cmd_certify_cover(args):
-    target = load_hypergraph(args.target)
-    cover = load_hypergraph(args.cover)
+    target = _hypergraph(args.target, "target")
+    cover = _hypergraph(args.cover, "cover")
     p = _parse_rational(args.p)
     cert = cover_certificate(target, cover, p)
     payload = {
@@ -290,7 +301,7 @@ def cmd_certify_cover(args):
 
 
 def cmd_containers(args):
-    h = load_hypergraph(args.hypergraph)
+    h = _hypergraph(args.hypergraph, "hypergraph")
     family = non_janson_containers(
         h,
         _parse_rational(args.p),
@@ -304,9 +315,7 @@ def cmd_containers(args):
 
 
 def cmd_extend_containers(args):
-    f = load_graph(args.F)
-    gp = load_graph(args.Gprime)
-    g = load_graph(args.G)
+    f, gp, g = (_graph(getattr(args, key), key) for key in ("F", "Gprime", "G"))
     ext = extension_hypergraph(f, args.w, gp, g)
     base = induced_copy_hypergraph(f, gp, g).hyper
     family = extension_containers(
@@ -347,20 +356,27 @@ def _seed_from(args, cfg: ExperimentConfig) -> int:
     if cfg.seed is not None:
         return cfg.seed
     env = os.environ.get("JC_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise InputError(f"JC_SEED must be an integer, got {env!r}") from None
 
 
 def cmd_arrows(args):
-    g = load_graph(args.G)
-    h = load_graph(args.H)
+    g = _graph(args.G, "G")
+    h = _graph(args.H, "H")
     result = arrows_induced(g, h, args.r, budget=args.budget)
     return EXIT_OK, emit({"arrows": result, "r": args.r}), {}
 
 
 def cmd_event(args):
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    g = load_graph(args.G)
-    targets = [load_graph(spec) for spec in args.H.split(",")]
+    g = _graph(args.G, "G")
+    specs = args.H.split(",")
+    keys = ["H"] if len(specs) == 1 else [f"H[{i}]" for i in range(len(specs))]
+    targets = [_graph(spec, key) for spec, key in zip(specs, keys)]
     sampling = {"budget_colorings": cfg.budget_colorings, "seed": _seed_from(args, cfg)}
     if args.kind == "B":
         report = check_event_bad(g, targets, cfg.p, **sampling)
@@ -392,7 +408,7 @@ def cmd_mc(args):
         report = chernoff_experiment(cfg.n, cfg.usize, cfg.ssize, cfg.trials, seed)
     else:
         report = extension_experiment(
-            load_graph(cfg.F),
+            _graph(cfg.F, "F"),
             cfg.w,
             cfg.m,
             cfg.r,
@@ -494,35 +510,23 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _input_files(args):
-    """(record key, path) for each file read; a graph argument may name a
-    built-in graph, and a ``--H`` list keys its files ``H[i]`` by position."""
-    for key in ("hypergraph", "target", "cover", "config"):
-        path = getattr(args, key, None)
-        if path:
-            yield key, path
-    for key in ("G", "Gprime", "F", "H"):
-        specs = getattr(args, key, None)
-        if not specs:
-            continue
-        specs = specs.split(",") if key == "H" else [specs]
-        for i, spec in enumerate(specs):
-            if not _NAMED_GRAPH.match(spec):
-                yield (key if len(specs) == 1 else f"{key}[{i}]"), spec
-
-
 def _run(args, argv) -> int:
     """Run the chosen handler, print its payload and, with ``--out``,
     persist the run record; returns the exit code."""
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    code, payload_text, extra_files = args.handler(args)
+    digests = {}
+    token = _digests.set(digests)
+    try:
+        code, payload_text, extra_files = args.handler(args)
+    finally:
+        _digests.reset(token)
     sys.stdout.write(payload_text)
     if args.out:
         record = RunRecord(
             command=list(argv),
             config={k: _jsonable(v) for k, v in vars(args).items() if k != "handler"},
             version=__version__,
-            input_digests={key: _digest(path) for key, path in _input_files(args)},
+            input_digests=digests,
             started=started,
             exit_status=code,
         )

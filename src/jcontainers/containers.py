@@ -651,6 +651,14 @@ def _container_core(
     )
 
 
+def _check_r_and_eta(r_param: Fraction, eta: Fraction) -> None:
+    """The range both pipelines need of R and eta, whatever the mode."""
+    if r_param < 0:
+        raise InputError(f"R must be nonnegative, got {r_param}")
+    if not eta > 0:
+        raise InputError(f"eta must be positive, got {eta}")
+
+
 def non_janson_containers(
     h: Hypergraph,
     p,
@@ -681,6 +689,13 @@ def non_janson_containers(
     q = _as_fraction(q, "q")
     r_param = _as_fraction(r_param, "R")
     eta = Fraction(1, 1 << (2 * s + 2)) if eta is None else _as_fraction(eta, "eta")
+    # the ranges in which the construction is defined, whatever the mode:
+    # p/q is a probability and the covers are built at (q + p, 1/2)
+    if not 0 < p <= q:
+        raise InputError(f"p and q must satisfy 0 < p <= q, got p = {p}, q = {q}")
+    if q + p > Fraction(1, 2):
+        raise InputError(f"q + p must be at most 1/2, got {q + p}")
+    _check_r_and_eta(r_param, eta)
     scaled = False
     if strict:
         if q > Fraction(1, 16):
@@ -763,6 +778,16 @@ def extension_containers(
         s = max(1, base_copies.uniformity() - 1 if base_copies.uniformity() else 1)
     eta_default = p**4 * (q / 2) ** (4 * s)
     eta = eta_default if eta is None else _as_fraction(eta, "eta")
+    # the ranges in which the construction is defined, whatever the mode
+    if not 0 < p <= 1:
+        raise InputError(f"p must lie in (0, 1], got {p}")
+    if not 0 < q <= Fraction(1, 2):
+        raise InputError(f"q must lie in (0, 1/2], got {q}")
+    if r_prime < 0:
+        raise InputError(f"R' must be nonnegative, got {r_prime}")
+    if r_colours < 1:
+        raise InputError(f"r must be at least 1, got {r_colours}")
+    _check_r_and_eta(r_param, eta)
     scaled = False
     if strict:
         if not 0 < q < Fraction(1, 8):

@@ -83,11 +83,10 @@ def least_isomorphism(pattern: Graph, host: Graph, l_verts: list[int]):
 
 @dataclass(frozen=True)
 class CopyHypergraph:
-    """Copy hypergraph plus, per edge, the pattern and one isomorphism
-    witness (re-checkable)."""
+    """Copy hypergraph plus, per edge, one isomorphism witness
+    (re-checkable)."""
 
     hyper: Hypergraph
-    pattern: Graph
     witnesses: dict  # edge mask -> phi tuple aligned with sorted vertices
 
 
@@ -113,25 +112,20 @@ def induced_copy_hypergraph(f: Graph, g_prime: Graph, g: Graph) -> CopyHypergrap
         if phi is not None:
             edges.append(l_mask)
             witnesses[l_mask] = phi
-    return CopyHypergraph(Hypergraph(g.n, tuple(sorted(edges))), f, witnesses)
+    return CopyHypergraph(Hypergraph(g.n, tuple(sorted(edges))), witnesses)
 
 
 @dataclass(frozen=True)
 class ExtensionHypergraph:
     """Two-layer hypergraph recording how a fresh vertex extends copies.
 
-    ``hyper`` lives on [0, 2m); vertex u + b*m is the pair (u, b).  ``phi``
-    stores, per base copy L, the recorded bijection onto the reduced pattern.
-    ``pi`` is the first-coordinate projection; |pi(E)| = |E| holds for every
-    edge by construction and is re-checked here.
+    ``hyper`` lives on [0, 2m); vertex u + b*m is the pair (u, b).  ``pi``
+    is the first-coordinate projection; |pi(E)| = |E| holds for every edge
+    by construction and is re-checked here.
     """
 
     hyper: Hypergraph
     m: int
-    pattern: Graph  # F
-    removed: int  # w, the designated vertex of F
-    base_copies: Hypergraph  # the copy hypergraph of F - w in the host pair
-    phi: dict  # base copy mask -> bijection tuple onto V(F - w)
     pi: VertexMap
 
     def __post_init__(self):
@@ -157,27 +151,16 @@ def extension_hypergraph(
     reduced_to_full = [x for x in range(f.n) if x != w]  # order-preserving
     copies = induced_copy_hypergraph(f_minus, g_prime, g)
     edges = []
-    phi_of = {}
     for l_mask in copies.hyper.edges:
-        phi = copies.witnesses[l_mask]
-        verts = bits_of(l_mask)
         e = 0
-        for u, img in zip(verts, phi):
+        for u, img in zip(bits_of(l_mask), copies.witnesses[l_mask]):
             layer = 1 if f.has_edge(reduced_to_full[img], w) else 0
             e |= 1 << (u + layer * m)
         edges.append(e)
-        phi_of[l_mask] = phi
-    # distinct base copies cannot collide: the first-coordinate projection
-    # recovers L from E_L, but deduplicate defensively anyway
-    unique = tuple(sorted(set(edges)))
+    # distinct base copies cannot collide, since the first-coordinate
+    # projection recovers L from E_L; Hypergraph rejects a duplicate edge
     return ExtensionHypergraph(
-        Hypergraph(2 * m, unique),
-        m,
-        f,
-        w,
-        copies.hyper,
-        phi_of,
-        first_coordinate_map(m),
+        Hypergraph(2 * m, tuple(sorted(edges))), m, first_coordinate_map(m)
     )
 
 

@@ -1,19 +1,19 @@
-"""Plain-text file formats for graphs, hypergraphs and measures.
+"""Plain-text formats for graphs, hypergraphs and numbers.
 
 Graph file:       first line ``graph <n>``, then one ``e <u> <v>`` line per
                   edge, 0-indexed with u < v.
 Hypergraph file:  first line ``hypergraph <n>``, then one ``E <v1> ... <vk>``
                   line per edge with strictly increasing vertices.
-Measure file:     one ``w <edge-index> <value>`` line per positive weight;
-                  values are decimals or ``a/b`` rationals; edge indices refer
-                  to the host hypergraph file's edge order.
+Number:           a finite decimal or an ``a/b`` rational.
 
-A repeated edge or weight line, a non-integer token where an integer is
-expected, a vertex count outside [0, UNIVERSE_CAP] and a vertex outside
-[0, n) are InputErrors that name their line.
+Blank lines and ``#`` comments are skipped.  A repeated edge line, a
+non-integer token where an integer is expected, a vertex count outside
+[0, UNIVERSE_CAP] and a vertex outside [0, n) are InputErrors that name
+their line.
 
-Writers emit exactly what the parsers accept, so every emitted file
-round-trips to an equal value.
+The parsers take text; ``cli`` reads each input file once and hands its
+text here.  Writers emit exactly what the parsers accept, so every emitted
+file round-trips to an equal value.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from .errors import InputError
 from .hypercore import UNIVERSE_CAP, Graph, Hypergraph, bits_of, mask_of
-from .measures import Measure
 
 # decimal exponents beyond this are refused before Fraction expands 10**exp
 EXPONENT_CAP = 4300
@@ -143,35 +142,3 @@ def parse_number(token: str, exact: bool):
     if not math.isfinite(value):
         raise InputError(f"not a finite number: {token!r}")
     return value
-
-
-def format_number(value) -> str:
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return repr(value)
-
-
-def parse_measure(text: str, host: Hypergraph, exact: bool = True) -> Measure:
-    zero = Fraction(0) if exact else 0.0
-    weights = [zero] * len(host.edges)
-    seen = set()
-    for lineno, line in meaningful_lines(text):
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "w":
-            raise InputError(f"line {lineno}: expected 'w <edge-index> <value>'")
-        idx = _integer(parts[1], lineno, "the edge index")
-        if not 0 <= idx < len(host.edges):
-            raise InputError(f"line {lineno}: edge index {idx} out of range")
-        if idx in seen:
-            raise InputError(f"line {lineno}: duplicate weight for edge {idx}")
-        seen.add(idx)
-        weights[idx] = parse_number(parts[2], exact)
-    return Measure(host, tuple(weights), exact)
-
-
-def write_measure(m: Measure) -> str:
-    lines = []
-    for idx, w in enumerate(m.weights):
-        if w > 0:
-            lines.append(f"w {idx} {format_number(w)}")
-    return "\n".join(lines) + ("\n" if lines else "")

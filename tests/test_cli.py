@@ -1,4 +1,8 @@
+import collections
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -13,10 +17,9 @@ from jcontainers import cli, fileio
 from jcontainers.cli import dispatch, load_config, load_graph
 from jcontainers.errors import InputError
 from jcontainers.hypercore import Graph, Hypergraph, mask_of
-from jcontainers.measures import Measure
 from jcontainers.ramsey import ExperimentConfig
 
-from conftest import hypergraphs, rational_weights
+from conftest import hypergraphs
 from hypothesis import strategies as st
 
 
@@ -34,17 +37,6 @@ class TestFileFormats:
     def test_hypergraph_round_trip_random(self, h):
         assert fileio.parse_hypergraph(fileio.write_hypergraph(h)) == h
 
-    @given(hypergraphs(max_edges=4), st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_measure_round_trip_random(self, h, data):
-        m = Measure(h, data.draw(rational_weights(len(h.edges))), True)
-        assert fileio.parse_measure(fileio.write_measure(m), h) == m
-
-    def test_measure_rational_and_decimal_values(self):
-        h = Hypergraph.from_vertex_lists(3, [[0, 1], [1, 2]])
-        m = fileio.parse_measure("w 0 2/3\nw 1 4\n", h)
-        assert m.weights == (F(2, 3), F(4))
-
     def test_graph_rejects_unordered_edge(self):
         with pytest.raises(InputError):
             fileio.parse_graph("graph 3\ne 2 1\n")
@@ -61,7 +53,6 @@ class TestFileFormats:
             (fileio.parse_hypergraph, "hypergraph x\n", 1),
             (fileio.parse_hypergraph, "hypergraph 3\nE 0 x\n", 2),
             (fileio.parse_hypergraph, "hypergraph 3\nE -1 2\n", 2),
-            (lambda t: fileio.parse_measure(t, Hypergraph(2, (3,))), "w x 1\n", 1),
         ],
     )
     def test_non_integer_tokens_report_line(self, parse, text, line):
@@ -78,11 +69,6 @@ class TestFileFormats:
     def test_duplicate_edge_reports_line(self, parse, text):
         with pytest.raises(InputError, match="line 3: duplicate edge"):
             parse(text)
-
-    def test_measure_rejects_duplicate_weight(self):
-        h = Hypergraph.from_vertex_lists(3, [[0, 1], [1, 2]])
-        with pytest.raises(InputError, match="line 2: duplicate weight"):
-            fileio.parse_measure("w 0 1/2\nw 0 1/3\n", h)
 
     def test_named_graphs(self):
         assert load_graph("K4") == Graph.complete(4)
@@ -127,10 +113,7 @@ class TestParserFuzz:
     @given(st.one_of(st.text(max_size=80), _LINES))
     @settings(max_examples=300, deadline=None)
     def test_parsers_raise_only_input_errors(self, text):
-        host = Hypergraph.from_vertex_lists(4, [[0, 1], [1, 2, 3]])
-        for parse in (fileio.parse_graph, fileio.parse_hypergraph,
-                      lambda t: fileio.parse_measure(t, host),
-                      lambda t: fileio.parse_measure(t, host, exact=False)):
+        for parse in (fileio.parse_graph, fileio.parse_hypergraph):
             try:
                 parse(text)
             except InputError:
@@ -224,6 +207,22 @@ class TestDispatch:
         via_flag = capsys.readouterr().out
         assert via_env == via_flag
 
+    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    def test_non_integer_env_seed_exits_2(self, tmp_path, capsys, monkeypatch, value):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("trials = 5\nusize = 4\nssize = 8\nn = 16\n")
+        argv = ["ramsey", "mc", "--experiment", "chernoff", "--config", str(cfg)]
+        monkeypatch.setenv("JC_SEED", value)
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: JC_SEED") and captured.err.count("\n") == 1
+        monkeypatch.setenv("JC_SEED", "")  # empty means unset
+        assert dispatch(argv) == 0
+        via_empty = capsys.readouterr().out
+        assert dispatch(argv + ["--seed", "0"]) == 0
+        assert capsys.readouterr().out == via_empty
+
     def test_config_seed_zero_beats_env_seed(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("seed = 0\ntrials = 5\nusize = 4\nssize = 8\nn = 16\n")
@@ -303,6 +302,13 @@ class TestDispatch:
             argv = ["ramsey", "arrows", "--G", str(path), "--H", "K3", "--r", "2"]
         assert dispatch(argv) == 2
         assert "input error" in capsys.readouterr().err
+
+    def test_non_utf8_input_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "h.hg"
+        path.write_bytes(b"hypergraph 3\nE 0 1\xff\n")
+        assert dispatch(["janson", "--hypergraph", str(path), "--p", "1/2", "--R", "1/5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: hypergraph file") and captured.out == ""
 
     def test_unreadable_input_file_exits_2(self, tmp_path, capsys):
         code = dispatch(["ramsey", "arrows", "--G", str(tmp_path), "--H", "K3", "--r", "2"])
@@ -463,7 +469,7 @@ class TestPipelineCommands:
         }
         for name, text in files.items():
             (tmp_path / name).write_text(text)
-        sha = {name: cli._digest(name) for name in files}
+        sha = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in files.items()}
         argv = ["ramsey", "event", "--kind", "B", "--G", "K4", "--config", "b.cfg", "--H"]
         runs = {
             "k2.graph,e2.graph": {"H[0]": sha["k2.graph"], "H[1]": sha["e2.graph"]},
@@ -476,6 +482,144 @@ class TestPipelineCommands:
             record = json.loads((tmp_path / f"o{i}" / "record.json").read_text())
             assert record["input_digests"] == {**digests, "config": sha["b.cfg"]}
             assert record["config"]["ramsey_cmd"] == "event"
+
+
+_DIGEST_FILES = {
+    "h.hg": "hypergraph 8\nE 0 1\nE 2 3\nE 4 5\nE 6 7\n",
+    "g.graph": "graph 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\n",
+    "gp.graph": "graph 5\n",
+    "k2.graph": "graph 2\ne 0 1\n",
+    "e2.graph": "graph 2\n",
+    "K4": "graph 4\n",  # shadows the built-in name, which wins
+    "b.cfg": "p = 1\ndelta = 0.3\n",
+    "mc.cfg": "trials = 3\nusize = 4\nssize = 8\nn = 16\n",
+    "ext.cfg": "trials = 2\nm = 4\nF = k2.graph\n",
+}
+_EVENT = ["ramsey", "event", "--kind", "B", "--G", "K4", "--config", "b.cfg", "--H"]
+
+
+class TestInputDigests:
+    """With --out, input_digests holds the sha256 of every file read, under
+    its record key, and the reader opens each file once."""
+
+    @pytest.mark.parametrize(
+        "argv, files",
+        [
+            (["copies", "--F", "k2.graph", "--Gprime", "gp.graph", "--G", "g.graph"],
+             {"F": "k2.graph", "Gprime": "gp.graph", "G": "g.graph"}),
+            (["containers", "--hypergraph", "h.hg", "--p", "1/65536", "--q", "1/16",
+              "--R", "1/524288"],
+             {"hypergraph": "h.hg"}),
+            (["extend-containers", "--F", "P3", "--w", "1", "--Gprime", "gp.graph",
+              "--G", "g.graph", "--p", "1/16777216", "--q", "1/16", "--R", "10/16777216",
+              "--Rprime", "0", "--no-strict"],
+             {"Gprime": "gp.graph", "G": "g.graph"}),
+            (_EVENT + ["e2.graph"], {"H": "e2.graph", "config": "b.cfg"}),
+            (_EVENT + ["k2.graph,K2,e2.graph"],
+             {"H[0]": "k2.graph", "H[2]": "e2.graph", "config": "b.cfg"}),
+            (["ramsey", "mc", "--experiment", "chernoff", "--config", "mc.cfg"],
+             {"config": "mc.cfg"}),
+            (["ramsey", "mc", "--experiment", "extension", "--config", "ext.cfg"],
+             {"config": "ext.cfg", "F": "k2.graph"}),
+        ],
+        ids=["copies", "containers", "extend-containers", "event-H", "event-H-list",
+             "mc-chernoff", "mc-extension-F"],
+    )
+    def test_each_file_read_is_digested_once(self, tmp_path, capsys, monkeypatch, argv, files):
+        monkeypatch.chdir(tmp_path)
+        for name, text in _DIGEST_FILES.items():
+            (tmp_path / name).write_text(text)
+        reads = collections.Counter()
+        read = cli._read
+
+        def counting_read(path, key):
+            reads[path] += 1
+            return read(path, key)
+
+        monkeypatch.setattr(cli, "_read", counting_read)
+        assert dispatch(["--out", "run"] + argv) == 0
+        capsys.readouterr()
+        record = json.loads((tmp_path / "run" / "record.json").read_text())
+        assert record["input_digests"] == {
+            key: hashlib.sha256(_DIGEST_FILES[name].encode()).hexdigest()
+            for key, name in files.items()
+        }
+        assert reads == collections.Counter(files.values())
+
+
+_RANGE_VALUES = st.sampled_from(["-1", "0", "1/1048576", "1/16", "1/2", "1", "2"])
+
+
+@pytest.fixture(scope="module")
+def four_vertex_hypergraph(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pipeline") / "h.hg"
+    path.write_text("hypergraph 4\nE 0 1\nE 2 3\n")
+    return str(path)
+
+
+class TestPipelineRanges:
+    """Both pipelines check their parameter ranges in both modes and name
+    the parameter that is out of range."""
+
+    @pytest.mark.parametrize(
+        "command, numbers, message",
+        [
+            ("containers", ["--p", "1/64", "--q", "0", "--no-strict"],
+             "p and q must satisfy 0 < p <= q"),
+            ("containers", ["--p", "1/64", "--q", "2", "--no-strict"],
+             "q + p must be at most 1/2"),
+            ("containers", ["--p", "1/2", "--q", "1/16", "--no-strict"],
+             "p and q must satisfy 0 < p <= q"),
+            ("containers", ["--p", "1/64", "--q", "1/16", "--eta", "-1", "--no-strict"],
+             "eta must be positive"),
+            ("extend-containers", ["--p", "1/64", "--q", "0", "--no-strict"],
+             "q must lie in (0, 1/2]"),
+            ("extend-containers", ["--p", "1/16777216", "--q", "1/16", "--r", "0"],
+             "r must be at least 1"),
+            ("extend-containers", ["--p", "1/16777216", "--q", "1/16", "--r", "0", "--no-strict"],
+             "r must be at least 1"),
+            ("extend-containers", ["--p", "1/64", "--q", "1/16", "--eta", "-1", "--no-strict"],
+             "eta must be positive"),
+        ],
+    )
+    def test_out_of_range_exits_2_naming_the_parameter(
+        self, four_vertex_hypergraph, capsys, command, numbers, message
+    ):
+        if command == "containers":
+            argv = [command, "--hypergraph", four_vertex_hypergraph, "--R", "1/1000"]
+        else:
+            argv = [command, "--F", "P3", "--w", "1", "--Gprime", "E4", "--G", "P4",
+                    "--R", "1/1000", "--Rprime", "0"]
+        assert dispatch(argv + numbers) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"input error: {message}") and captured.out == ""
+
+    @given(
+        extension=st.booleans(),
+        p=_RANGE_VALUES,
+        q=_RANGE_VALUES,
+        r_param=_RANGE_VALUES,
+        r_prime=_RANGE_VALUES,
+        eta=st.none() | _RANGE_VALUES,
+        colours=st.integers(-1, 2),
+        strict=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pipeline_exit_codes_stay_in_contract(
+        self, four_vertex_hypergraph, extension, p, q, r_param, r_prime, eta, colours, strict
+    ):
+        if extension:
+            argv = ["extend-containers", "--F", "P3", "--w", "1", "--Gprime", "E4", "--G", "P4",
+                    "--Rprime", r_prime, "--r", str(colours)]
+        else:
+            argv = ["containers", "--hypergraph", four_vertex_hypergraph]
+        argv += ["--p", p, "--q", q, "--R", r_param]
+        argv += ([] if eta is None else ["--eta", eta]) + ([] if strict else ["--no-strict"])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = dispatch(argv)
+        assert 0 <= code <= 4, err.getvalue()
+        assert "internal error" not in err.getvalue() and "Traceback" not in err.getvalue()
 
 
 class TestConfig:

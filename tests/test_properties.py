@@ -265,6 +265,4 @@ class TestTwoLayerGuard:
         # the projection, which the construction must refuse
         bad = Hypergraph(4, (mask_of([0, 2]),))  # (0, layer0) and (0, layer1)
         with pytest.raises(InputError):
-            ExtensionHypergraph(
-                bad, 2, Graph.complete(2), 0, Hypergraph(2, ()), {}, first_coordinate_map(2)
-            )
+            ExtensionHypergraph(bad, 2, first_coordinate_map(2))
