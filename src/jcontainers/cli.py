@@ -218,6 +218,13 @@ def _positive_tolerance(text: str) -> float:
     return value
 
 
+def _nonnegative_budget(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be a nonnegative integer, got {text!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers (each returns (exit_code, payload_text, extra_files))
 
@@ -271,7 +278,6 @@ def cmd_hardcover(args):
         _parse_rational(args.q),
         _parse_rational(args.alpha),
         paper_literal=args.paper_literal,
-        verify=args.verify,
     )
     payload = {
         "fingerprints": [_mask_list(t) for t in family.fingerprints],
@@ -293,7 +299,7 @@ def cmd_certify_cover(args):
     payload = {
         "p": p,
         "weight": cert.weight,
-        "threshold_bound": cert.threshold_bound,
+        "threshold_bound": cert.weight,
         "cover_edges": len(cover.edges),
         "target_edges": len(target.edges),
     }
@@ -372,9 +378,11 @@ def cmd_arrows(args):
 
 
 def cmd_event(args):
+    specs = args.H.split(",")
+    if "" in specs:
+        raise InputError(f"--H has an empty item: {args.H!r}")
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     g = _graph(args.G, "G")
-    specs = args.H.split(",")
     keys = ["H"] if len(specs) == 1 else [f"H[{i}]" for i in range(len(specs))]
     targets = [_graph(spec, key) for spec, key in zip(specs, keys)]
     sampling = {"budget_colorings": cfg.budget_colorings, "seed": _seed_from(args, cfg)}
@@ -453,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--hypergraph", required=True)
     ph.add_argument("--q", required=True)
     ph.add_argument("--alpha", required=True)
-    ph.add_argument("--no-verify", dest="verify", action="store_false")
     ph.add_argument("--paper-literal", action="store_true")
     ph.set_defaults(handler=cmd_hardcover)
 
@@ -492,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--G", required=True)
     pa.add_argument("--H", required=True)
     pa.add_argument("--r", type=int, required=True)
-    pa.add_argument("--budget", type=int)
+    pa.add_argument("--budget", type=_nonnegative_budget)
     pa.set_defaults(handler=cmd_arrows)
     pev = rsub.add_parser("event")
     pev.add_argument("--kind", required=True, choices=["B", "Bprime", "E"])

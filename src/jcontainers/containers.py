@@ -48,7 +48,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .copies import ExtensionHypergraph
 from .errors import BudgetError, InputError
@@ -57,6 +56,7 @@ from .hypercore import (
     Hypergraph,
     bits_of,
     independence_polynomial,
+    independent_sets,
     is_independent,
     mask_of,
     nonstrict_link,
@@ -269,8 +269,6 @@ class HardcoverFamily:
     fingerprint/cover construction."""
 
     n: int
-    q: Fraction
-    alpha: Fraction
     paper_literal: bool
     fingerprints: tuple  # sorted distinct T masks
     phi: dict  # independent-set mask -> T mask
@@ -287,7 +285,6 @@ def hardcover_family(
     q,
     alpha,
     paper_literal: bool = False,
-    verify: bool = True,
     strict_samples: int = 100,
     seed: int = 0,
 ) -> HardcoverFamily:
@@ -306,9 +303,6 @@ def hardcover_family(
     n = h.n
     independent = [not c for c in containment_table(n, h.edges)]
     family, contexts = _hardcover_core(n, independent, q, alpha, paper_literal)
-    if not verify:
-        return family
-
     fingerprints, covers, phi = family.fingerprints, family.covers, family.phi
     cover_contains = {t_mask: containment_table(n, covers[t_mask]) for t_mask in fingerprints}
     size_cap = q * n / alpha
@@ -368,7 +362,7 @@ def _hardcover_core(
     base_ctx = _context_for(n, independent, 0, q, bar, counts)
     if base_ctx.table[0] == 0:
         # no independent sets at all (the empty edge is present)
-        return HardcoverFamily(n, q, alpha, paper_literal, (), {}, {}), {}
+        return HardcoverFamily(n, paper_literal, (), {}, {}), {}
     # every submask of an independent set is independent, so dependent
     # masks (satisfying vacuously, at probability 0) can drop out
     sat = _satisfying_table(base_ctx, counts)
@@ -388,7 +382,7 @@ def _hardcover_core(
             for l_mask, t, k in zip(range(lo, size), ctx.table[lo:], counts[lo:])
             if t <= limit[k]
         ])
-    return HardcoverFamily(n, q, alpha, paper_literal, fingerprints, phi, covers), contexts
+    return HardcoverFamily(n, paper_literal, fingerprints, phi, covers), contexts
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +399,6 @@ class CoverCertificate:
     cover: Hypergraph
     p: object
     weight: object  # sum of p^|E| over cover members
-
-    @property
-    def threshold_bound(self):
-        return self.weight
 
 
 def p_weight(cover: Hypergraph, p):
@@ -445,17 +435,9 @@ def cover_certificate(target: Hypergraph, cover: Hypergraph, p) -> CoverCertific
 
 @dataclass
 class UniformContainerFamily:
-    host: Hypergraph
-    p: object
-    s: Optional[int]
-    fingerprints: tuple  # distinct S masks
     phi: dict  # independent-set mask -> S mask
     psi: dict  # S mask -> container mask
-    violations: list = field(default_factory=list)
     incomplete: list = field(default_factory=list)
-
-    def containers(self) -> tuple:
-        return tuple(sorted(set(self.psi.values())))
 
 
 def uniform_container_oracle(
@@ -466,6 +448,7 @@ def uniform_container_oracle(
     """Fallback search for the external uniform-container theorem: small
     fingerprints S with containers X = psi(S) such that S <= I <= X for every
     independent I and h[X] certifiably misses the (p, 2^-8 p |X|) property.
+    p must be an exact rational.
 
     Not complete: when no candidate container verifies, the failure lands in
     ``incomplete`` rather than being patched over.  Every emitted triple is
@@ -473,42 +456,30 @@ def uniform_container_oracle(
     """
     if h.n > desk_cap:
         raise InputError(f"fallback oracle capped at {desk_cap} vertices")
+    p = _as_fraction(p, "p")
     s = h.uniformity()
-    if s is not None and s >= 1:
-        cap = Fraction(1, (1 << 11) * s * s)
-        p_val = Fraction(p) if isinstance(p, (Fraction, int)) else p
-        if p_val > (cap if isinstance(p_val, Fraction) else float(cap)):
-            raise InputError("oracle precondition p <= 1/(2^11 s^2) fails")
-    if 0 in h.edges:
-        return UniformContainerFamily(h, p, s, (), {}, {})
-
-    from .hypercore import independent_sets
-
-    ind_list = list(independent_sets(h))
+    if s is not None and s >= 1 and p > Fraction(1, (1 << 11) * s * s):
+        raise InputError("oracle precondition p <= 1/(2^11 s^2) fails")
+    ind_list = [] if 0 in h.edges else list(independent_sets(h))
     if not ind_list:
-        return UniformContainerFamily(h, p, s, (), {}, {})
+        return UniformContainerFamily({}, {})
     union_mask = 0
     for m in ind_list:
         union_mask |= m
 
     def not_janson(x_mask: int) -> bool:
         sub = restrict_edges(h, x_mask)
-        r_val = _eighth(p) * popcount(x_mask)
+        r_val = p / 256 * popcount(x_mask)
         return not require_verdict(sub, p, r_val, context="uniform-container oracle")
 
-    fam = UniformContainerFamily(h, p, s, (), {}, {})
     if popcount(union_mask) > 0 and not_janson(union_mask):
-        fam.fingerprints = (0,)
-        fam.phi = {i: 0 for i in ind_list}
-        fam.psi = {0: union_mask}
-        return fam
+        return UniformContainerFamily({i: 0 for i in ind_list}, {0: union_mask})
 
-    bound = _fingerprint_bound(s, p, h.n)
+    bound = h.n if s is None else int((1 << 11) * s * s * p * h.n)
     if bound < 1:
-        fam.incomplete.append(
+        return UniformContainerFamily({}, {}, [
             "single shared container fails and the fingerprint budget is zero"
-        )
-        return fam
+        ])
 
     classes: dict[int, int] = {}
     phi = {}
@@ -518,32 +489,14 @@ def uniform_container_oracle(
         phi[i_mask] = s_mask
         classes[s_mask] = classes.get(s_mask, 0) | i_mask
     psi = {}
+    incomplete = []
     for s_mask in sorted(classes):
         x_mask = classes[s_mask]
         if popcount(x_mask) > 0 and not_janson(x_mask):
             psi[s_mask] = x_mask
         else:
-            fam.incomplete.append(
-                f"no verified container for fingerprint class {s_mask:b}"
-            )
-    fam.fingerprints = tuple(sorted(psi))
-    fam.phi = {i: s for i, s in phi.items() if s in psi}
-    fam.psi = psi
-    return fam
-
-
-def _eighth(p):
-    if isinstance(p, (Fraction, int)):
-        return Fraction(p) / 256
-    return p / 256.0
-
-
-def _fingerprint_bound(s, p, n) -> int:
-    if s is None:
-        return n
-    if isinstance(p, (Fraction, int)):
-        return int((1 << 11) * s * s * Fraction(p) * n)
-    return int(2048 * s * s * p * n)
+            incomplete.append(f"no verified container for fingerprint class {s_mask:b}")
+    return UniformContainerFamily({i: s for i, s in phi.items() if s in psi}, psi, incomplete)
 
 
 # ---------------------------------------------------------------------------
@@ -594,17 +547,11 @@ class PipelineFamily:
     host: Hypergraph
     params: dict
     containers: tuple  # sorted container masks
-    assignments: dict  # (T mask, S mask) -> container mask
     certified_minimals: tuple  # minimal vertex sets with the auxiliary property
-    hardcover: HardcoverFamily
     violations: list = field(default_factory=list)
     incomplete: list = field(default_factory=list)
     size_bound_ok: bool = True
     shrunk: dict = field(default_factory=dict)  # container -> Y mask (ext. pipeline)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def _container_core(
@@ -621,7 +568,6 @@ def _container_core(
     minimals = minimal_members(n, is_good)
     uncertified = [not in_upset(minimals, m) for m in range(1 << n)]
     fam_hc, _ = _hardcover_core(n, uncertified, q_hc, Fraction(1, 2), False)
-    assignments = {}
     incomplete = []
     violations = []
     containers = set()
@@ -629,10 +575,7 @@ def _container_core(
         slice_h = upset_slice(fam_hc.cover_hypergraph(t_mask), s)
         oracle = uniform_container_oracle(slice_h, p, cap)
         incomplete.extend(f"T={t_mask:b}: {msg}" for msg in oracle.incomplete)
-        violations.extend(f"T={t_mask:b}: {msg}" for msg in oracle.violations)
-        for s_mask, x_mask in oracle.psi.items():
-            assignments[(t_mask, s_mask)] = x_mask
-            containers.add(x_mask)
+        containers.update(oracle.psi.values())
     containers = tuple(sorted(containers))
     for l_mask in range(1 << n):
         if uncertified[l_mask] and not any(l_mask & ~x == 0 for x in containers):
@@ -643,9 +586,7 @@ def _container_core(
                 violations.append(msg)
     return dict(
         containers=containers,
-        assignments=assignments,
         certified_minimals=minimals,
-        hardcover=fam_hc,
         violations=violations,
         incomplete=incomplete,
     )

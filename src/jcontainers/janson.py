@@ -55,6 +55,8 @@ KKT_EDGE_CAP = 10  # exact path enumerates 2^m support patterns
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10**6
 BRACKET_MAX_ITER = 1000  # require_verdict's Frank-Wolfe; past it, enumerate
+WITNESS_MAX_ROUNDS = 200  # blend-and-restrict rounds of bounded_degree_witness
+PRECONDITION_BUDGET = 20000  # its hypothesis checks: enumerated up to this, then sampled
 _GRID = 1 << 48
 
 INF = float("inf")
@@ -484,8 +486,8 @@ def _bracket_verdict(h: Hypergraph, p, r):
 # Bounded-degree witnesses
 
 
-def _witness_mass_one(h: Hypergraph, p, r, tol, context) -> Measure:
-    verdict = is_janson(h, p, r, tol)
+def _witness_mass_one(h: Hypergraph, p, r, context) -> Measure:
+    verdict = is_janson(h, p, r)
     if verdict.answer != "YES":
         raise HypothesisViolation(
             f"{context}: expected a YES verdict, got {verdict.answer}",
@@ -499,9 +501,6 @@ def bounded_degree_witness(
     p,
     r,
     beta,
-    tol: float = DEFAULT_TOL,
-    max_rounds: int = 200,
-    precondition_budget: int = 20000,
     seed: int = 0,
 ):
     """Witness with mass sqrt(R), lambda below mass^2 / R, and
@@ -510,7 +509,7 @@ def bounded_degree_witness(
     Hypothesis: every induced sub-hypergraph on at least (1 - beta) v(h)
     vertices is (p, R)-Janson.  Checking the minimum size suffices because
     the property only improves under adding vertices; subsets are enumerated
-    up to ``precondition_budget`` and sampled beyond it.
+    up to ``PRECONDITION_BUDGET`` and sampled beyond it.
 
     The construction follows the blend-and-restrict scheme: starting from an
     optimal witness, repeatedly solve on the low-degree vertex set
@@ -532,20 +531,20 @@ def bounded_degree_witness(
     w_size = math.ceil((1 - beta) * nverts)
 
     total = math.comb(nverts, w_size)
-    if total <= precondition_budget:
+    if total <= PRECONDITION_BUDGET:
         subsets = itertools.combinations(range(nverts), w_size)
     else:
         rng = SplitMix64(seed)
         subsets = (
             tuple(bits_of(rng.sample_mask(nverts, w_size)))
-            for _ in range(precondition_budget)
+            for _ in range(PRECONDITION_BUDGET)
         )
     for combo in subsets:
         w_mask = 0
         for v in combo:
             w_mask |= 1 << v
         sub = restrict_edges(h, w_mask)
-        verdict = is_janson(sub, p, r, tol)
+        verdict = is_janson(sub, p, r)
         if verdict.answer != "YES":
             raise HypothesisViolation(
                 f"induced sub-hypergraph on {sorted(combo)} is not certified (p, R)-Janson "
@@ -554,10 +553,10 @@ def bounded_degree_witness(
                 verdict=verdict,
             )
 
-    nu = _witness_mass_one(h, p, r, tol, "initial witness").to_float()
+    nu = _witness_mass_one(h, p, r, "initial witness").to_float()
     target = 2.0 * s * s / (beta * nverts)  # mass-one form of the bound
     tau = min(1.0, 1.0 / (beta * nverts)) / 2.0
-    for _ in range(max_rounds):
+    for _ in range(WITNESS_MAX_ROUNDS):
         dsq = sum(float(degree(nu, 1 << v)) ** 2 for v in range(nverts))
         if dsq <= target:
             break
@@ -571,14 +570,14 @@ def bounded_degree_witness(
             raise HypothesisViolation(
                 "low-degree vertex set spans no edges", w_mask=w_mask
             )
-        nu_prime_sub = _witness_mass_one(sub, p, r, tol, "restricted witness").to_float()
+        nu_prime_sub = _witness_mass_one(sub, p, r, "restricted witness").to_float()
         weight_of = dict(zip(sub.edges, nu_prime_sub.weights))
         nu_prime = Measure(
             h, tuple(weight_of.get(e, 0.0) for e in h.edges), exact=False
         )
         nu = add(scale(nu, 1.0 - tau), scale(nu_prime, tau))
     else:
-        raise BudgetError(f"degree bound not reached within {max_rounds} rounds")
+        raise BudgetError(f"degree bound not reached within {WITNESS_MAX_ROUNDS} rounds")
 
     return scale(nu, math.sqrt(float(r)))
 

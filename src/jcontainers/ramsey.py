@@ -18,9 +18,11 @@ from typing import Optional, Sequence
 
 from .copies import induced_copy_hypergraph
 from .errors import BudgetError, InputError, UndecidedError
-from .hypercore import Coloring, Graph, Hypergraph, bits_of, mask_of, popcount
+from .hypercore import Coloring, Graph, Hypergraph, bits_of, mask_of, popcount, restrict_edges
 from .janson import require_verdict
 from .prng import SplitMix64
+
+PATTERN_SPACE_CAP = 1 << 20  # pattern tuples event E may enumerate before sampling
 
 
 @dataclass
@@ -310,21 +312,30 @@ def check_event_inductive(
     colour's copy hypergraph inside W has a (p, p |W|) witness.
 
     The pattern tuples are combinatorially huge even here, so beyond the
-    budget they are sampled and the report drops its exhaustive flag."""
+    budget they are sampled and the report drops its exhaustive flag.  The
+    space they are drawn from, every tuple of labelled graphs with 1..s_i
+    vertices, is enumerated in full first; above ``PATTERN_SPACE_CAP``
+    tuples that is a BudgetError."""
     r = len(sizes)
     t = sum(sizes)
     n = g.n
+    space = math.prod(sum(1 << math.comb(v, 2) for v in range(1, si + 1)) for si in sizes)
+    if space > PATTERN_SPACE_CAP:
+        raise BudgetError(
+            f"event E spans {space} pattern tuples, above the cap {PATTERN_SPACE_CAP}"
+        )
     rng = SplitMix64(seed)
     report = EventReport("E", holds=True)
     pattern_pool = {si: _graphs_up_to(si) for si in sorted(set(sizes))}
 
-    tuples = []
-    for t_prime in range(r, t):  # each pattern needs >= 1 vertex
-        choices = [ [f for f in pattern_pool[si]] for si in sizes ]
-        combos = itertools.product(*choices)
-        for combo in combos:
-            if sum(f.n for f in combo) == t_prime:
-                tuples.append((t_prime, combo))
+    # one pass over the product, grouped by total size (each pattern has at
+    # least one vertex, so every total is at least r) and joined in t' order
+    by_size = {t_prime: [] for t_prime in range(r, t)}
+    for combo in itertools.product(*(pattern_pool[si] for si in sizes)):
+        group = by_size.get(sum(f.n for f in combo))
+        if group is not None:
+            group.append(combo)
+    tuples = [(t_prime, combo) for t_prime, group in by_size.items() for combo in group]
     if len(tuples) > budget_patterns:
         report.exhaustive = False
         idx = sorted(rng.below(len(tuples)) for _ in range(budget_patterns))
@@ -387,15 +398,12 @@ def find_maximal_tuple(
         raise InputError("S is smaller than the required starting size")
     u_mask = mask_of(s_verts[:base])
     gains = [0] * r
-
-    hypers = {}
-
-    def hyper_in(i: int, mask: int) -> Hypergraph:
-        key = (i, mask)
-        if key not in hypers:
-            gi = coloring.color_subgraph(g, i + 1)
-            hypers[key] = _copies_inside(targets[i], gi, g, mask)
-        return hypers[key]
+    # each colour's copy hypergraph, built once; a window keeps its edges
+    # inside the mask
+    copies = [
+        induced_copy_hypergraph(target, coloring.color_subgraph(g, i), g).hyper
+        for i, target in enumerate(targets, start=1)
+    ]
 
     notes = []
     grown = True
@@ -405,7 +413,7 @@ def find_maximal_tuple(
             cand = u_mask | (1 << v)
             for i in range(r):
                 if require_verdict(
-                    hyper_in(i, cand), p, gains[i] + 1,
+                    restrict_edges(copies[i], cand), p, gains[i] + 1,
                     context=f"growth step colour {i + 1}",
                 ):
                     u_mask = cand
@@ -416,7 +424,7 @@ def find_maximal_tuple(
                 break
 
     floor_ok = all(
-        require_verdict(hyper_in(i, u_mask), p, gains[i], context="floor check")
+        require_verdict(restrict_edges(copies[i], u_mask), p, gains[i], context="floor check")
         for i in range(r)
     )
     ceiling_ok = True
@@ -424,7 +432,7 @@ def find_maximal_tuple(
         cand = u_mask | (1 << v)
         for i in range(r):
             if require_verdict(
-                hyper_in(i, cand), p, gains[i] + 1, context="ceiling check"
+                restrict_edges(copies[i], cand), p, gains[i] + 1, context="ceiling check"
             ):
                 ceiling_ok = False
                 notes.append(f"vertex {v} still raises colour {i + 1}")

@@ -159,6 +159,40 @@ class TestDispatch:
     def test_unknown_flag_exits_2(self, capsys):
         assert dispatch(["janson", "--nope", "x"]) == 2
 
+    def test_hardcover_no_verify_flag_is_gone(self, tmp_path, capsys):
+        path = tmp_path / "h.hg"
+        path.write_text("hypergraph 4\nE 0 1\n")
+        argv = ["hardcover", "--hypergraph", str(path), "--q", "1/8", "--alpha", "1/2"]
+        assert dispatch(argv + ["--no-verify"]) == 2
+        assert "--no-verify" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["-1", "-20"])
+    def test_negative_budget_exits_2_naming_budget(self, capsys, budget):
+        argv = ["ramsey", "arrows", "--G", "K4", "--H", "K3", "--r", "2"]
+        assert dispatch(argv + ["--budget", budget]) == 2
+        err = capsys.readouterr().err
+        assert "--budget" in err and "budget exceeded" not in err
+        # a zero budget is valid input: the search runs out of it
+        assert dispatch(argv + ["--budget", "0"]) == 3
+        assert "budget exceeded" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["K2,,K2", ",K2", "K2,", ""])
+    def test_empty_target_item_exits_2_naming_H(self, tmp_path, capsys, monkeypatch, spec):
+        reads = []
+        monkeypatch.setattr(cli, "_read", lambda path, key: reads.append(path))
+        code = dispatch([
+            "ramsey", "event", "--kind", "B", "--G", str(tmp_path / "g.graph"),
+            "--H", spec, "--config", str(tmp_path / "c.cfg"),
+        ])
+        assert code == 2
+        assert "--H has an empty item" in capsys.readouterr().err
+        assert reads == []  # rejected before any file is read
+
+    def test_event_e_over_the_pattern_cap_exits_3(self, capsys):
+        code = dispatch(["ramsey", "event", "--kind", "E", "--G", "K4", "--H", "K7,K2"])
+        assert code == 3
+        assert "pattern tuples, above the cap" in capsys.readouterr().err
+
     def test_hardcover_runs_clean(self, tmp_path, capsys):
         path = tmp_path / "h.hg"
         path.write_text("hypergraph 4\nE 0 1\nE 2 3\n")

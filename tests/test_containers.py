@@ -333,7 +333,7 @@ class TestUniformOracle:
         h = Hypergraph(5, ())
         fam = uniform_container_oracle(h, F(1, 100000))
         assert fam.psi == {0: 0b11111}
-        assert not fam.incomplete and not fam.violations
+        assert not fam.incomplete
 
     def test_single_edge_shared_container(self):
         h = Hypergraph.from_vertex_lists(4, [[0, 1]])
@@ -349,16 +349,25 @@ class TestUniformOracle:
         with pytest.raises(InputError):
             uniform_container_oracle(h, F(1, 2))
 
+    def test_float_p_rejected(self):
+        # the oracle takes exact rationals only, like both pipelines
+        h = Hypergraph.from_vertex_lists(4, [[0, 1]])
+        with pytest.raises(InputError, match="exact rational"):
+            uniform_container_oracle(h, 1e-6)
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_random_three_uniform_instances(self, seed):
         rng = SplitMix64(seed)
         h = random_hypergraph(rng, 10, 5, sizes=(3,))
         p = F(1, (1 << 11) * 9)
         fam = uniform_container_oracle(h, p)
-        assert not fam.violations
         for i_mask, s_mask in fam.phi.items():
             assert s_mask & ~i_mask == 0
             assert i_mask & ~fam.psi[s_mask] == 0
+        # each container certifiably misses (p, 2^-8 p |X|)
+        for x_mask in fam.psi.values():
+            sub = restrict_edges(h, x_mask)
+            assert janson_threshold(sub, p) <= p * popcount(x_mask) / 256
 
 
 class TestMinimalMembers:

@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -204,6 +205,14 @@ class TestEvents:
         assert report.exhaustive is False
         assert report.notes.count("subset space sampled beyond the budget") == 1
 
+    def test_inductive_pattern_space_capped_before_it_is_built(self):
+        # an 8-vertex target spans 2^28 labelled graphs on its own; the
+        # cap (2^20 tuples) is checked before any pattern is built
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="pattern tuples"):
+            check_event_inductive(Graph.complete(4), [8, 2], F(1, 4), delta=0.3)
+        assert time.perf_counter() - start < 1.0
+
     def test_bad_event_on_pentagon(self):
         # the pentagon two-colouring avoiding mono triangles also defeats
         # the distribution threshold: there are no triangles at all
@@ -258,6 +267,20 @@ class TestMaximalTuple:
         assert out.verified_floor
         assert out.verified_ceiling
         assert sum(out.gains) == bin(out.u_mask).count("1") - math.ceil(0.34 * 6)
+
+    def test_one_copy_build_per_colour(self, monkeypatch):
+        builds = []
+        original = ramsey.induced_copy_hypergraph
+        monkeypatch.setattr(
+            ramsey, "induced_copy_hypergraph", lambda *a: builds.append(a) or original(*a)
+        )
+        g = Graph.complete(6)
+        coloring = Coloring(2, {e: 1 + (i % 2) for i, e in enumerate(g.edges())})
+        out = find_maximal_tuple(
+            g, (1 << 6) - 1, coloring, [Graph.complete(2), Graph.path(3)], F(1), 0.5
+        )
+        assert out.gains == (3, 0)  # growth went through several windows
+        assert len(builds) <= 2
 
     def test_positive_gains_on_sampled_hosts(self):
         # banking the first raise needs min-lambda below 1 inside a small
