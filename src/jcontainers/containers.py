@@ -49,7 +49,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .copies import ExtensionHypergraph
+from .copies import ExtensionHypergraph, extend_copies
 from .errors import BudgetError, InputError
 from .hypercore import (
     DEFAULT_ENUM_CAP,
@@ -65,16 +65,11 @@ from .hypercore import (
     restrict_edges,
 )
 from .janson import require_verdict
+from .measures import as_fraction
 from .prng import SplitMix64
 
 ZETA_CAP = 16  # the family's transforms allocate 2^n tables; single queries allocate none
 DESK_CAP = 14
-
-
-def _as_fraction(x, name: str) -> Fraction:
-    if isinstance(x, (Fraction, int)):
-        return Fraction(x)
-    raise InputError(f"{name} must be an exact rational on this path")
 
 
 def _popcounts(n: int) -> list[int]:
@@ -152,7 +147,7 @@ def conditional_prob(h: Hypergraph, l_mask: int, q, t_mask: int = 0) -> Fraction
     by :func:`independence_polynomial` without enumerating the sets; the
     common denominator b^n (q = a/b) cancels.  Hosts above
     ``DEFAULT_ENUM_CAP`` vertices are refused."""
-    q = _as_fraction(q, "q")
+    q = as_fraction(q, "q")
     if not 0 < q < 1:
         raise InputError("q must lie in (0, 1)")
     if h.n > DEFAULT_ENUM_CAP:
@@ -237,8 +232,8 @@ def _fingerprint_table(sat: list[bool], n: int, counts: list[int]) -> list[int]:
 
 def fingerprint(h: Hypergraph, i_mask: int, q, alpha) -> int:
     """Fingerprint of an independent set of h (see fingerprint_in_table)."""
-    q = _as_fraction(q, "q")
-    alpha = _as_fraction(alpha, "alpha")
+    q = as_fraction(q, "q")
+    alpha = as_fraction(alpha, "alpha")
     if not 0 < q <= alpha < 1:
         raise InputError("parameters must satisfy 0 < q <= alpha < 1")
     if not is_independent(h, i_mask):
@@ -255,8 +250,8 @@ def in_cover(h: Hypergraph, l_mask: int, t_mask: int, q, alpha) -> bool:
     Needs no 2^n table, so it answers above ``ZETA_CAP`` (up to
     ``DEFAULT_ENUM_CAP`` vertices) at one exact weighted count of
     independent sets per query (see :func:`conditional_prob`)."""
-    q = _as_fraction(q, "q")
-    alpha = _as_fraction(alpha, "alpha")
+    q = as_fraction(q, "q")
+    alpha = as_fraction(alpha, "alpha")
     if l_mask == 0:
         return False  # nonempty members only; see the module docstring
     bar = (1 - alpha) * q
@@ -294,8 +289,8 @@ def hardcover_family(
     h-edge lies in every cover (its conditional probability is zero); each
     independent set avoids its own cover; and the strict reverse inequality
     on a sample of non-members."""
-    q = _as_fraction(q, "q")
-    alpha = _as_fraction(alpha, "alpha")
+    q = as_fraction(q, "q")
+    alpha = as_fraction(alpha, "alpha")
     if not 0 < q <= alpha < 1:
         raise InputError("parameters must satisfy 0 < q <= alpha < 1")
     if h.n > ZETA_CAP:
@@ -456,7 +451,7 @@ def uniform_container_oracle(
     """
     if h.n > desk_cap:
         raise InputError(f"fallback oracle capped at {desk_cap} vertices")
-    p = _as_fraction(p, "p")
+    p = as_fraction(p, "p")
     s = h.uniformity()
     if s is not None and s >= 1 and p > Fraction(1, (1 << 11) * s * s):
         raise InputError("oracle precondition p <= 1/(2^11 s^2) fails")
@@ -626,10 +621,10 @@ def non_janson_containers(
         if h.edges:
             raise InputError("pipeline needs a uniform hypergraph")
         s = 1  # edgeless host: nothing is certified and parameters are moot
-    p = _as_fraction(p, "p")
-    q = _as_fraction(q, "q")
-    r_param = _as_fraction(r_param, "R")
-    eta = Fraction(1, 1 << (2 * s + 2)) if eta is None else _as_fraction(eta, "eta")
+    p = as_fraction(p, "p")
+    q = as_fraction(q, "q")
+    r_param = as_fraction(r_param, "R")
+    eta = Fraction(1, 1 << (2 * s + 2)) if eta is None else as_fraction(eta, "eta")
     # the ranges in which the construction is defined, whatever the mode:
     # p/q is a probability and the covers are built at (q + p, 1/2)
     if not 0 < p <= q:
@@ -641,7 +636,7 @@ def non_janson_containers(
     if strict:
         if q > Fraction(1, 16):
             raise InputError("pipeline requires q <= 1/16")
-        if p > q / ((1 << 10) * s * s):
+        if p * (1 << 10) * s * s > q:  # vacuous at s = 0
             raise InputError("pipeline requires p <= q / (2^10 s^2)")
         if r_param < Fraction(p) * h.n / 64:
             raise InputError("pipeline requires R >= 2^-6 p n")
@@ -711,14 +706,14 @@ def extension_containers(
     s = h.uniformity()
     if s is None and h.edges:
         raise InputError("two-layer hypergraph must be uniform")
-    p = _as_fraction(p, "p")
-    q = _as_fraction(q, "q")
-    r_param = _as_fraction(r_param, "R")
-    r_prime = _as_fraction(r_prime, "R'")
+    p = as_fraction(p, "p")
+    q = as_fraction(q, "q")
+    r_param = as_fraction(r_param, "R")
+    r_prime = as_fraction(r_prime, "R'")
     if s is None:
         s = max(1, base_copies.uniformity() - 1 if base_copies.uniformity() else 1)
     eta_default = p**4 * (q / 2) ** (4 * s)
-    eta = eta_default if eta is None else _as_fraction(eta, "eta")
+    eta = eta_default if eta is None else as_fraction(eta, "eta")
     # the ranges in which the construction is defined, whatever the mode
     if not 0 < p <= 1:
         raise InputError(f"p must lie in (0, 1], got {p}")
@@ -733,7 +728,7 @@ def extension_containers(
     if strict:
         if not 0 < q < Fraction(1, 8):
             raise InputError("pipeline requires 0 < q < 1/8")
-        if p > q / ((1 << 10) * r_colours * r_colours * s * s):
+        if p * (1 << 10) * r_colours * r_colours * s * s > q:  # vacuous at s = 0
             raise InputError("pipeline requires p <= q / (2^10 r^2 s^2)")
         if r_param != Fraction(p) * n / 64:
             raise InputError("pipeline fixes R = 2^-6 p n; pass strict=False to scale")
@@ -757,16 +752,12 @@ def extension_containers(
         base_copies, p, r_prime, context="base copies at (p, R')"
     ):
         raise InputError("base copies are not certified (p, R')")
-    base_embedded = Hypergraph(v + 1, base_copies.edges)
-
     r_union = r_prime + eta * r_param
 
     def union_at(l_mask: int) -> Hypergraph:
-        inside = restrict_edges(h, l_mask)
-        projected = project(inside, ext.pi)
-        vbit = 1 << v
-        lifted = tuple(sorted({e | vbit for e in projected.edges} | set(base_embedded.edges)))
-        return Hypergraph(v + 1, lifted)
+        # the lifted edges hold v >= m and the base edges do not: disjoint
+        lifted = extend_copies(ext, l_mask, v).edges
+        return Hypergraph(v + 1, tuple(sorted(lifted + base_copies.edges)))
 
     def is_good(l_mask: int) -> bool:
         return require_verdict(

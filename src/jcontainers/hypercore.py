@@ -188,9 +188,6 @@ class Hypergraph:
     def sorted_edges(self) -> "Hypergraph":
         return Hypergraph(self.n, tuple(sorted(self.edges)))
 
-    def canonical_key(self) -> tuple:
-        return (self.n, tuple(sorted(self.edges)))
-
 
 def induced_sub(h: Hypergraph, w_mask: int) -> Hypergraph:
     """Sub-hypergraph induced on W: exactly the edges contained in W,

@@ -79,9 +79,6 @@ class MinLambdaResult:
     iterations: int
     exact: bool
 
-    def lower_bound(self):
-        return self.value - self.gap
-
 
 @dataclass(frozen=True)
 class JansonVerdict:
@@ -91,7 +88,7 @@ class JansonVerdict:
     dual_bound: object  # certified lower bound on the simplex minimum
     gap: object
     iterations: int
-    tol: float
+    tol: float  # always DEFAULT_TOL
     exact: bool
     note: str = ""
 
@@ -277,8 +274,8 @@ def dual_lower_bound(witness: Measure, p):
     return xg / 2 - fw_gap
 
 
-_cache: dict = {}
-_brackets: dict = {}  # (canonical key, p key, R) -> True / False / None
+_cache: dict = {}  # min_lambda's memo key -> (result, canonical edge order)
+_brackets: dict = {}  # (n, canonical edges, p, R) -> True / False / None
 
 
 def clear_cache():
@@ -286,39 +283,39 @@ def clear_cache():
     _brackets.clear()
 
 
-def _p_key(p):
-    if isinstance(p, (Fraction, int)):
-        f = Fraction(p)
-        return ("Q", f.numerator, f.denominator)
-    return ("f", float(p))
+def _query(h: Hypergraph, p, tol: float):
+    """What a query's solve depends on, decided once: (its edges in sorted
+    order, :func:`min_lambda`'s memo key, whether it takes the exact path).
+
+    The exact path takes rational p and at most KKT_EDGE_CAP edges.  Its key
+    ends in None and Frank-Wolfe's in ``tol``, so an exact and a floating
+    result never share an entry, even where a Fraction p equals a float."""
+    edges = tuple(sorted(h.edges))
+    exact = isinstance(p, (Fraction, int)) and len(edges) <= KKT_EDGE_CAP
+    return edges, (h.n, edges, p, None if exact else tol), exact
 
 
 def min_lambda(h: Hypergraph, p, tol: float = DEFAULT_TOL) -> MinLambdaResult:
     """Minimise lambda_p over mass-one measures on h: by the exact
     enumeration for rational p and at most KKT_EDGE_CAP edges, by
-    Frank-Wolfe otherwise.  Results are memoised on the canonical edge
-    order."""
-    if not h.edges:
+    Frank-Wolfe otherwise.  Queries that need no solve are settled by
+    :func:`_settled`; the rest are memoised on the canonical edge order."""
+    settled = _settled(h, p, 1)
+    if settled == "NO":
         raise InputError("minimum needs at least one edge")
-    if not 0 < p <= 1:
-        raise InputError("p must lie in (0, 1]")
-    rational = isinstance(p, (Fraction, int))
-    trivial = next((i for i, e in enumerate(h.edges) if popcount(e) <= 1), None)
-    if trivial is not None:
-        witness = Measure.unit_on(h, trivial, exact=rational)
+    if settled == "YES":
+        rational = isinstance(p, (Fraction, int))
+        trivial = next(i for i, e in enumerate(h.edges) if popcount(e) <= 1)
         zero = Fraction(0) if rational else 0.0
-        return MinLambdaResult(zero, witness, zero, 0, exact=rational)
+        return MinLambdaResult(zero, Measure.unit_on(h, trivial, rational), zero, 0, rational)
 
-    exact = rational and len(h.edges) <= KKT_EDGE_CAP
-    key = (h.canonical_key(), _p_key(p), None if exact else tol)
+    edges, key, exact = _query(h, p, tol)
     hit = _cache.get(key)
-    if hit is not None:
-        result, edge_order = hit
-    else:
-        canon = Hypergraph(h.n, tuple(sorted(h.edges)))
+    if hit is None:
+        canon = Hypergraph(h.n, edges)
         result = min_lambda_exact(canon, p) if exact else min_lambda_fw(canon, float(p), tol)
-        edge_order = canon.edges
-        _cache[key] = (result, edge_order)
+        hit = _cache[key] = (result, edges)
+    result, edge_order = hit
     ws = result.witness.weights
     if h.edges != edge_order:
         weight_of = dict(zip(edge_order, ws))
@@ -326,7 +323,7 @@ def min_lambda(h: Hypergraph, p, tol: float = DEFAULT_TOL) -> MinLambdaResult:
     return replace(result, witness=Measure(h, ws, result.exact))
 
 
-def janson_threshold(h: Hypergraph, p, tol: float = DEFAULT_TOL):
+def janson_threshold(h: Hypergraph, p):
     """R* = 1 / (simplex minimum of lambda_p); 0 for an edgeless hypergraph,
     infinity when an edge of size <= 1 lets lambda vanish at positive mass."""
     settled = _settled(h, p, 1)  # R* does not depend on R; any R > 0 will do
@@ -334,7 +331,7 @@ def janson_threshold(h: Hypergraph, p, tol: float = DEFAULT_TOL):
         return Fraction(0) if isinstance(p, (Fraction, int)) else 0.0
     if settled == "YES":
         return INF
-    return 1 / min_lambda(h, p, tol).value
+    return 1 / min_lambda(h, p).value
 
 
 def _settled(h: Hypergraph, p, r) -> Optional[str]:
@@ -357,12 +354,12 @@ def _settled(h: Hypergraph, p, r) -> Optional[str]:
     return None
 
 
-def _decide(x: Measure, p, r, tol: float, value):
+def _decide(x: Measure, p, r, value):
     """The one YES/NO rule, on a mass-one point x: (answer, dual bound at x
     or None when it was not needed).
 
-    YES when R lambda_p(x) < 1 (exact x) or <= 1 - tol (floating x): x is
-    the witness, its overlap recomputed pairwise.  NO when R times
+    YES when R lambda_p(x) < 1 (exact x) or <= 1 - DEFAULT_TOL (floating
+    x): x is the witness, its overlap recomputed pairwise.  NO when R times
     :func:`dual_lower_bound` at x is >= 1: by convexity that bound lies
     below the simplex minimum, whatever solver produced x.  Otherwise
     UNDECIDED.  The two tests cannot both pass, so ``value``, the caller's
@@ -376,7 +373,7 @@ def _decide(x: Measure, p, r, tol: float, value):
     for test in ("NO", "YES") if r * value >= 1 else ("YES", "NO"):
         if test == "YES":
             lam = r * lambda_p_pairwise(x, p)
-            if lam < 1 if x.exact else lam <= 1.0 - tol:
+            if lam < 1 if x.exact else lam <= 1.0 - DEFAULT_TOL:
                 return "YES", dual
         else:
             dual = dual_lower_bound(x, p)
@@ -385,7 +382,7 @@ def _decide(x: Measure, p, r, tol: float, value):
     return "UNDECIDED", dual
 
 
-def is_janson(h: Hypergraph, p, r, tol: float = DEFAULT_TOL) -> JansonVerdict:
+def is_janson(h: Hypergraph, p, r) -> JansonVerdict:
     """Three-valued verdict for the strict inequality lambda < mass^2 / R.
 
     Queries that need no solve are settled by :func:`_settled`.  Otherwise
@@ -395,9 +392,10 @@ def is_janson(h: Hypergraph, p, r, tol: float = DEFAULT_TOL) -> JansonVerdict:
     bound at the minimiser, which on the exact path equals the minimum; an
     exact minimiser that fails both tests gives UNDECIDED, never a guess.
     """
+    tol = DEFAULT_TOL
     settled = _settled(h, p, r)
     if settled is not None:
-        r_star = janson_threshold(h, p, tol)
+        r_star = janson_threshold(h, p)
         if r == 0:
             note = "R = 0: every hypergraph qualifies by convention"
             return JansonVerdict("YES", r_star, None, None, 0, 0, tol, True, note)
@@ -409,11 +407,12 @@ def is_janson(h: Hypergraph, p, r, tol: float = DEFAULT_TOL) -> JansonVerdict:
         witness = Measure.unit_on(h, idx, exact)
         note = "unit mass on a size-<=1 edge has zero overlap"
         return JansonVerdict("YES", r_star, witness, None, 0, 0, tol, exact, note)
-    result = min_lambda(h, p, tol)
-    value, lower, exact = result.value, result.lower_bound(), result.exact
+    result = min_lambda(h, p)
+    value, exact = result.value, result.exact
+    lower = value - result.gap
     answer, dual = "UNDECIDED", None
     if exact or float(r) * value < 1.0 or float(r) * lower >= 1.0:
-        answer, dual = _decide(result.witness, p, r, tol, value)
+        answer, dual = _decide(result.witness, p, r, value)
     note = ""
     if answer == "UNDECIDED":
         note = (
@@ -452,21 +451,19 @@ def _bracket_verdict(h: Hypergraph, p, r):
     or None when this shortcut does not apply or cannot tell.
 
     It applies, after :func:`_settled`, where :func:`is_janson` would
-    enumerate: rational p and R, at most KKT_EDGE_CAP edges, and no
-    memoised minimum yet.  A floating Frank-Wolfe point, made exact and of
-    mass one, goes through :func:`_decide`, which answers exactly; None
+    enumerate: rational R, a query on the exact path of :func:`_query`, and
+    no memoised minimum yet.  A floating Frank-Wolfe point, made exact and
+    of mass one, goes through :func:`_decide`, which answers exactly; None
     when 1/R lies between its dual bound and lambda_p."""
-    rational = (Fraction, int)
-    if not (isinstance(p, rational) and isinstance(r, rational)) or len(h.edges) > KKT_EDGE_CAP:
+    if not isinstance(r, (Fraction, int)):
         return None
-    canon_key = h.canonical_key()
-    p_key = _p_key(p)
-    if (canon_key, p_key, None) in _cache:
+    edges, key, exact = _query(h, p, DEFAULT_TOL)
+    if not exact or key in _cache:
         return None
-    key = (canon_key, p_key, Fraction(r))
+    key = key[:3] + (Fraction(r),)
     if key in _brackets:
         return _brackets[key]
-    canon = Hypergraph(h.n, canon_key[1])
+    canon = Hypergraph(h.n, edges)
     try:
         q = overlap_matrix(canon, float(p), exact=False)
         point, value = _frank_wolfe(q, BRACKET_MAX_ITER, DEFAULT_TOL, 1.0 / float(r))[:2]
@@ -477,7 +474,7 @@ def _bracket_verdict(h: Hypergraph, p, r):
         return None  # p, R or the overlaps beyond float range: enumerate
     grid[grid.index(max(grid))] += _GRID - sum(grid)
     x = Measure(canon, tuple(Fraction(k, _GRID) for k in grid), exact=True)
-    answer = _decide(x, p, r, DEFAULT_TOL, value)[0]
+    answer = _decide(x, p, r, value)[0]
     decided = _brackets[key] = {"YES": True, "NO": False}.get(answer)
     return decided
 

@@ -42,6 +42,13 @@ from .hypercore import (
 SUBSET_EDGE_CAP = 20  # algorithm A enumerates 2^|E| submasks per edge
 
 
+def as_fraction(x, name: str) -> Fraction:
+    """x as a Fraction; InputError unless it is an exact rational."""
+    if isinstance(x, (Fraction, int)):
+        return Fraction(x)
+    raise InputError(f"{name} must be an exact rational on this path")
+
+
 def _check_probability(p, exact: bool):
     if exact and not isinstance(p, (Fraction, int)):
         raise InputError("exact-mode lambda_p needs a rational p")

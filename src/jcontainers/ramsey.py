@@ -20,6 +20,7 @@ from .copies import induced_copy_hypergraph
 from .errors import BudgetError, InputError, UndecidedError
 from .hypercore import Coloring, Graph, Hypergraph, bits_of, mask_of, popcount, restrict_edges
 from .janson import require_verdict
+from .measures import as_fraction
 from .prng import SplitMix64
 
 PATTERN_SPACE_CAP = 1 << 20  # pattern tuples event E may enumerate before sampling
@@ -234,7 +235,8 @@ def check_event_bad(
     """Does some colouring leave every colour's copy hypergraph without a
     (p, p v(G)) witness?  Beyond the budget the colouring space is sampled
     and the report drops its exhaustive flag."""
-    r_bar = Fraction(p) * g.n if isinstance(p, (Fraction, int)) else float(p) * g.n
+    p = as_fraction(p, "p")
+    r_bar = p * g.n
     report = EventReport("B", holds=False)
     window = ((1 << g.n) - 1, targets, r_bar)
     found = _sweep(report, g, [window], p, budget_colorings, SplitMix64(seed))
@@ -259,14 +261,11 @@ def check_event_bad_prime(
 
     Beyond the subset budget, half the budget goes to the smallest sets
     (where witnesses are cheap and common) and the rest is sampled."""
+    p = as_fraction(p, "p")
     r = len(targets)
     n = g.n
     floor = max(0, math.ceil(delta ** (2 / 3) * n))
-    r_bar = (
-        Fraction(p) * Fraction(delta) * n / (512 * r)
-        if isinstance(p, (Fraction, int))
-        else float(p) * delta * n / (512 * r)
-    )
+    r_bar = p * Fraction(delta) * n / (512 * r)
     report = EventReport("Bprime", holds=False)
     rng = SplitMix64(seed)
     # small sets first: their copy hypergraphs are empty or tiny, so the
@@ -316,6 +315,7 @@ def check_event_inductive(
     space they are drawn from, every tuple of labelled graphs with 1..s_i
     vertices, is enumerated in full first; above ``PATTERN_SPACE_CAP``
     tuples that is a BudgetError."""
+    p = as_fraction(p, "p")
     r = len(sizes)
     t = sum(sizes)
     n = g.n
@@ -348,9 +348,7 @@ def check_event_inductive(
             floor = max(0, math.ceil((delta / (8 * r)) ** (t - t_prime) * n))
             subsets = [m for m in range(1 << n) if popcount(m) >= floor]
             for w_mask in _sample_subsets(subsets, budget_subsets, rng, report):
-                size = popcount(w_mask)
-                r_bar = Fraction(p) * size if isinstance(p, (Fraction, int)) else float(p) * size
-                yield w_mask, patterns, r_bar
+                yield w_mask, patterns, p * popcount(w_mask)
 
     found = _sweep(report, g, windows(), p, budget_colorings, rng)
     if found is not None:

@@ -288,13 +288,33 @@ class TestDispatch:
             ["--p", "1/0", "--R", "1/5"],
             ["--p", "abc", "--R", "1/5"],
             ["--p", "1/2", "--R", "nan"],
-            ["--p", "1/2", "--R", "1/5", "--tol", "-1"],
-            ["--p", "1/2", "--R", "1/5", "--tol", "nan"],
+            ["--p", "inf", "--R", "1/5"],
+            ["--p", "1/2", "--R", "1/0"],
         ],
     )
     def test_bad_numbers_exit_2(self, capsys, single_edge_file, numbers):
         assert dispatch(["janson", "--hypergraph", single_edge_file] + numbers) == 2
         assert capsys.readouterr().out == ""
+
+    def test_tol_is_an_unrecognized_argument(self, capsys, single_edge_file):
+        argv = ["janson", "--hypergraph", single_edge_file, "--p", "1/2", "--R", "1/5"]
+        assert dispatch(argv + ["--tol", "1e-9"]) == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --tol 1e-9" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command", ["janson", "certify-cover"])
+    def test_rational_past_the_digit_limit_exits_3(self, tmp_path, capsys, command):
+        # R* = p^2 has 6,001 digits; certify-cover prints p, of 4,001 digits
+        path = str(tmp_path / "pair.hg")
+        (tmp_path / "pair.hg").write_text("hypergraph 2\nE 0 1\n")
+        if command == "janson":
+            argv = ["janson", "--hypergraph", path, "--p", "1e-3000", "--R", "1"]
+        else:
+            argv = ["certify-cover", "--target", path, "--cover", path, "--p", "1e-4000"]
+        assert dispatch(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("budget exceeded:") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("p", ["2", "0"])
     @pytest.mark.parametrize(
@@ -452,6 +472,29 @@ class TestPipelineCommands:
         assert code == 0
         assert out["violations"] == []
         assert out["params"]["scaled"] is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["containers", "--hypergraph", "e.hg",
+             "--p", "1/65536", "--q", "1/16", "--R", "1/524288"],
+            ["extend-containers", "--F", "K1", "--w", "0", "--Gprime", "E3", "--G", "E3",
+             "--p", "1/1048576", "--q", "1/16", "--R", "3/33554432", "--Rprime", "0"],
+        ],
+        ids=["containers", "extend-containers"],
+    )
+    def test_strict_pipeline_at_uniformity_zero(self, tmp_path, capsys, monkeypatch, argv):
+        # the only edge is empty (F - w has no vertices for extend-containers):
+        # s = 0 makes the p bound vacuous, so strict mode runs like --no-strict
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "e.hg").write_text("hypergraph 3\nE\n")
+        assert dispatch(argv) == 0
+        strict = json.loads(capsys.readouterr().out)
+        assert dispatch(argv + ["--no-strict"]) == 0
+        loose = json.loads(capsys.readouterr().out)
+        assert strict["params"]["s"] == 0
+        assert strict["params"].pop("scaled") is False and loose["params"].pop("scaled") is True
+        assert strict == loose
 
     def test_budget_exit_code(self, capsys):
         code = dispatch([

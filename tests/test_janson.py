@@ -576,6 +576,17 @@ class TestRequireVerdict:
         assert require_verdict(h, F(1, 2), F(1, 2)) is True
         assert not janson._brackets
 
+    @pytest.mark.parametrize("order", [(F(1, 2), 0.5), (0.5, F(1, 2))])
+    def test_rational_and_float_p_do_not_share_a_minimum(self, order):
+        # F(1, 2) == 0.5 and both hash alike; within the edge cap the
+        # memo key still keeps the exact and the floating minimum apart
+        h = Hypergraph(4, (0b0011, 0b0110, 0b1100))
+        clear_cache()
+        results = {type(p): min_lambda(h, p) for p in order}
+        assert results[F].exact and isinstance(results[F].value, F)
+        assert not results[float].exact and isinstance(results[float].value, float)
+        assert len(janson._cache) == 2
+
     def test_floating_queries_keep_the_old_path(self):
         clear_cache()
         assert require_verdict(disjoint_edges(3), 0.5, 0.5) is True

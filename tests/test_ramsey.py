@@ -234,6 +234,15 @@ class TestEvents:
         )
         assert report.holds == again.holds
 
+    def test_events_take_rational_p_only(self):
+        g, targets = Graph.complete(4), [Graph.complete(3)] * 2
+        with pytest.raises(InputError, match="p must be an exact rational"):
+            check_event_bad(g, targets, 0.25)
+        with pytest.raises(InputError, match="p must be an exact rational"):
+            check_event_bad_prime(g, targets, 0.25, 0.3)
+        with pytest.raises(InputError, match="p must be an exact rational"):
+            check_event_inductive(g, [2, 2], 0.25, 0.3)
+
     def test_implication_bad_to_bad_prime(self):
         rng = SplitMix64(99)
         p, delta = F(1, 5), 0.3
