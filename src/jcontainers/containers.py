@@ -31,9 +31,14 @@ Three layers:
   property.  Both build an auxiliary up-set of "already-good" vertex sets
   (stored by minimal members only), fingerprint it, slice each cover to the
   working uniformity, and hand these slices to the uniform-container oracle.
-  The oracle seam stands in for an external container theorem: it only ships
-  a verified brute-force fallback, so it can honestly report incompleteness,
-  which is kept distinct from a theorem violation throughout.
+  The oracle seam stands in for an external container theorem.  Its
+  fallback offers one shared container, the union of all independent sets,
+  and verifies it; at desk scale that container always verifies unless it
+  is empty (the proof is in :func:`uniform_container_oracle`).  A failure
+  is reported as incompleteness, kept distinct from a theorem violation
+  throughout.  The extension pipeline's trimming step may delete
+  n / (256 r) vertices, which is none at n <= ZETA_CAP, so it is a single
+  projected check per large container.
 
 The empty set satisfies the cover inequality vacuously, which would make
 nothing independent in any cover; covers therefore keep nonempty members
@@ -43,9 +48,11 @@ reports the resulting independence failures instead.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -70,6 +77,15 @@ from .prng import SplitMix64
 
 ZETA_CAP = 16  # the family's transforms allocate 2^n tables; single queries allocate none
 DESK_CAP = 14
+
+
+def _shown(x) -> str:
+    """x as message text.  A rational past the interpreter's integer-printing
+    limit is named, not printed, so that the message carrying it can be built."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"a rational of more than {sys.get_int_max_str_digits()} digits"
 
 
 def _popcounts(n: int) -> list[int]:
@@ -307,7 +323,7 @@ def hardcover_family(
             family.violations.append(f"fingerprint {t_mask:b} not inside {i_mask:b}")
         if too_large[t_mask]:
             family.violations.append(
-                f"fingerprint {t_mask:b} larger than q n / alpha = {size_cap}"
+                f"fingerprint {t_mask:b} larger than q n / alpha = {_shown(size_cap)}"
             )
         if cover_contains[t_mask][i_mask]:
             family.violations.append(
@@ -425,7 +441,7 @@ def cover_certificate(target: Hypergraph, cover: Hypergraph, p) -> CoverCertific
 
 
 # ---------------------------------------------------------------------------
-# Uniform-container oracle (pluggable seam with a brute-force fallback)
+# Uniform-container oracle (pluggable seam with a shared-container fallback)
 
 
 @dataclass
@@ -435,63 +451,37 @@ class UniformContainerFamily:
     incomplete: list = field(default_factory=list)
 
 
-def uniform_container_oracle(
-    h: Hypergraph,
-    p,
-    desk_cap: int = DESK_CAP,
-) -> UniformContainerFamily:
-    """Fallback search for the external uniform-container theorem: small
-    fingerprints S with containers X = psi(S) such that S <= I <= X for every
-    independent I and h[X] certifiably misses the (p, 2^-8 p |X|) property.
-    p must be an exact rational.
+def uniform_container_oracle(h: Hypergraph, p) -> UniformContainerFamily:
+    """Fallback for the external uniform-container theorem: the one shared
+    container X, the union of the independent sets of the s-uniform h, with
+    the empty fingerprint, once h[X] certifiably misses the (p, 2^-8 p |X|)
+    property.  p must be an exact rational with p <= 1/(2^11 s^2).
 
-    Not complete: when no candidate container verifies, the failure lands in
-    ``incomplete`` rather than being patched over.  Every emitted triple is
-    re-verified, so the family itself needs no trust in the search.
+    At this scale X always verifies unless it is empty: at s <= 1 it holds
+    no edge, and at s >= 2 with |X| <= 16 (the bound holds up to 21) the
+    m <= C(|X|, s) edges force lambda_p >= C(s, 2) / (p^2 m) on the simplex
+    of h[X], at least 1/R = 256 / (p |X|).  Smaller fingerprint classes would
+    therefore add nothing.  A failure lands in ``incomplete`` rather than
+    being patched over, and the container is verified, not trusted.
     """
-    if h.n > desk_cap:
-        raise InputError(f"fallback oracle capped at {desk_cap} vertices")
+    if h.n > ZETA_CAP:
+        raise InputError(f"fallback oracle capped at {ZETA_CAP} vertices")
     p = as_fraction(p, "p")
     s = h.uniformity()
+    if s is None and h.edges:
+        raise InputError("fallback oracle needs a uniform hypergraph")
     if s is not None and s >= 1 and p > Fraction(1, (1 << 11) * s * s):
         raise InputError("oracle precondition p <= 1/(2^11 s^2) fails")
     ind_list = [] if 0 in h.edges else list(independent_sets(h))
     if not ind_list:
         return UniformContainerFamily({}, {})
-    union_mask = 0
-    for m in ind_list:
-        union_mask |= m
-
-    def not_janson(x_mask: int) -> bool:
-        sub = restrict_edges(h, x_mask)
-        r_val = p / 256 * popcount(x_mask)
-        return not require_verdict(sub, p, r_val, context="uniform-container oracle")
-
-    if popcount(union_mask) > 0 and not_janson(union_mask):
+    union_mask = functools.reduce(operator.or_, ind_list)
+    if union_mask and not require_verdict(
+        restrict_edges(h, union_mask), p, p / 256 * popcount(union_mask),
+        context="uniform-container oracle",
+    ):
         return UniformContainerFamily({i: 0 for i in ind_list}, {0: union_mask})
-
-    bound = h.n if s is None else int((1 << 11) * s * s * p * h.n)
-    if bound < 1:
-        return UniformContainerFamily({}, {}, [
-            "single shared container fails and the fingerprint budget is zero"
-        ])
-
-    classes: dict[int, int] = {}
-    phi = {}
-    for i_mask in ind_list:
-        verts = bits_of(i_mask)
-        s_mask = mask_of(verts[: min(bound, len(verts))])
-        phi[i_mask] = s_mask
-        classes[s_mask] = classes.get(s_mask, 0) | i_mask
-    psi = {}
-    incomplete = []
-    for s_mask in sorted(classes):
-        x_mask = classes[s_mask]
-        if popcount(x_mask) > 0 and not_janson(x_mask):
-            psi[s_mask] = x_mask
-        else:
-            incomplete.append(f"no verified container for fingerprint class {s_mask:b}")
-    return UniformContainerFamily({i: s for i, s in phi.items() if s in psi}, psi, incomplete)
+    return UniformContainerFamily({}, {}, [f"shared container {union_mask:b} does not verify"])
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +502,6 @@ def minimal_members(n: int, holds) -> tuple:
     return tuple(minimals)
 
 
-def in_upset(minimals, mask: int) -> bool:
-    return any(mm & ~mask == 0 for mm in minimals)
-
-
 def upset_slice(h: Hypergraph, s: int) -> Hypergraph:
     """The size-s slice of the up-set of h: every s-subset of the universe
     that contains some edge of h."""
@@ -528,8 +514,9 @@ def upset_slice(h: Hypergraph, s: int) -> Hypergraph:
 
 def _check_size_bound(family: PipelineFamily, q: Fraction, n: int, exponent_factor: int) -> None:
     """A family of more than 4 (2/q)^(c q n) containers, c = exponent_factor,
-    is a violation."""
-    limit = math.log(4.0) + exponent_factor * float(q) * n * math.log(2.0 / float(q))
+    is a violation.  log(2/q) comes from q's integers, since float(q) may be 0."""
+    log_two_over_q = math.log(2 * q.denominator) - math.log(q.numerator)
+    limit = math.log(4.0) + exponent_factor * float(q) * n * log_two_over_q
     family.size_bound_ok = math.log(max(len(family.containers), 1)) <= limit + 1e-12
     if not family.size_bound_ok:
         family.violations.append("container family exceeds its size bound")
@@ -549,31 +536,34 @@ class PipelineFamily:
     shrunk: dict = field(default_factory=dict)  # container -> Y mask (ext. pipeline)
 
 
-def _container_core(
-    n: int, is_good, q_hc: Fraction, s: int, p, cap: int, what: str
-) -> dict:
+def _container_core(n: int, is_good, q_hc: Fraction, s: int, p, what: str) -> dict:
     """The steps both pipelines share, as PipelineFamily fields.
 
     The up-set of the sets where ``is_good`` holds (by minimal members; the
     property is inclusion-monotone) is fingerprinted with the exact cover
     construction at (q_hc, 1/2); each cover is sliced to uniformity s and
-    handed to the fallback oracle, capped at ``cap`` vertices.  Every
-    uncertified set must fit a container: a gap is a violation, or
-    incomplete when the oracle stalled."""
+    handed to the fallback oracle.  Every uncertified set must fit a
+    container: a gap is a violation, or incomplete when the oracle stalled.
+    Both questions read 2^n tables: the up-set's containment table and the
+    containers' down-closure."""
     minimals = minimal_members(n, is_good)
-    uncertified = [not in_upset(minimals, m) for m in range(1 << n)]
+    uncertified = [not c for c in containment_table(n, minimals)]
     fam_hc, _ = _hardcover_core(n, uncertified, q_hc, Fraction(1, 2), False)
     incomplete = []
     violations = []
     containers = set()
     for t_mask in fam_hc.fingerprints:
         slice_h = upset_slice(fam_hc.cover_hypergraph(t_mask), s)
-        oracle = uniform_container_oracle(slice_h, p, cap)
+        oracle = uniform_container_oracle(slice_h, p)
         incomplete.extend(f"T={t_mask:b}: {msg}" for msg in oracle.incomplete)
         containers.update(oracle.psi.values())
     containers = tuple(sorted(containers))
+    covered = [False] * (1 << n)
+    for x_mask in containers:
+        covered[x_mask] = True
+    _fold_pairs(covered, n, _either, into_subset=True)
     for l_mask in range(1 << n):
-        if uncertified[l_mask] and not any(l_mask & ~x == 0 for x in containers):
+        if uncertified[l_mask] and not covered[l_mask]:
             msg = f"uncovered {what} set {l_mask:b}"
             if incomplete:
                 incomplete.append(msg + " (fallback oracle stalled)")
@@ -590,9 +580,9 @@ def _container_core(
 def _check_r_and_eta(r_param: Fraction, eta: Fraction) -> None:
     """The range both pipelines need of R and eta, whatever the mode."""
     if r_param < 0:
-        raise InputError(f"R must be nonnegative, got {r_param}")
+        raise InputError(f"R must be nonnegative, got {_shown(r_param)}")
     if not eta > 0:
-        raise InputError(f"eta must be positive, got {eta}")
+        raise InputError(f"eta must be positive, got {_shown(eta)}")
 
 
 def non_janson_containers(
@@ -628,9 +618,9 @@ def non_janson_containers(
     # the ranges in which the construction is defined, whatever the mode:
     # p/q is a probability and the covers are built at (q + p, 1/2)
     if not 0 < p <= q:
-        raise InputError(f"p and q must satisfy 0 < p <= q, got p = {p}, q = {q}")
+        raise InputError(f"p and q must satisfy 0 < p <= q, got p = {_shown(p)}, q = {_shown(q)}")
     if q + p > Fraction(1, 2):
-        raise InputError(f"q + p must be at most 1/2, got {q + p}")
+        raise InputError(f"q + p must be at most 1/2, got {_shown(q + p)}")
     _check_r_and_eta(r_param, eta)
     scaled = False
     if strict:
@@ -660,7 +650,7 @@ def non_janson_containers(
             "p": p, "q": q, "R": r_param, "eta": eta, "s": s, "n": h.n,
             "alpha": Fraction(1, 2), "scaled": scaled,
         },
-        **_container_core(h.n, is_good, q + p, s, p, DESK_CAP, "vertex"),
+        **_container_core(h.n, is_good, q + p, s, p, "vertex"),
     )
     # every container's induced sub-hypergraph misses (p, R)
     for x_mask in family.containers:
@@ -716,11 +706,11 @@ def extension_containers(
     eta = eta_default if eta is None else as_fraction(eta, "eta")
     # the ranges in which the construction is defined, whatever the mode
     if not 0 < p <= 1:
-        raise InputError(f"p must lie in (0, 1], got {p}")
+        raise InputError(f"p must lie in (0, 1], got {_shown(p)}")
     if not 0 < q <= Fraction(1, 2):
-        raise InputError(f"q must lie in (0, 1/2], got {q}")
+        raise InputError(f"q must lie in (0, 1/2], got {_shown(q)}")
     if r_prime < 0:
-        raise InputError(f"R' must be nonnegative, got {r_prime}")
+        raise InputError(f"R' must be nonnegative, got {_shown(r_prime)}")
     if r_colours < 1:
         raise InputError(f"r must be at least 1, got {r_colours}")
     _check_r_and_eta(r_param, eta)
@@ -738,13 +728,6 @@ def extension_containers(
             raise InputError("pipeline fixes eta = p^4 (q/2)^(4s); pass strict=False to scale")
     else:
         scaled = True
-
-    # projection constraints: fibers of size <= 2 give |pi(L)| >= |L| / 2
-    fiber_count = [0] * ext.pi.n_target
-    for img in ext.pi.table:
-        fiber_count[img] += 1
-    if any(c > 2 for c in fiber_count):
-        raise InputError("projection fibers must have at most two elements")
 
     if base_copies.n != ext.m:
         raise InputError("base copies must live on the host universe")
@@ -771,36 +754,22 @@ def extension_containers(
             "p": p, "q": q, "R": r_param, "R'": r_prime, "eta": eta,
             "r": r_colours, "s": s, "n": n, "scaled": scaled,
         },
-        **_container_core(n, is_good, q, s, p, ZETA_CAP, "index"),
+        **_container_core(n, is_good, q, s, p, "index"),
     )
 
-    allowance = (n // (256 * r_colours))
+    # the trimming step may delete n // (256 r) vertices, none at n <= ZETA_CAP,
+    # so each large container is its own trimmed set Y or a violation
     floor_size = -(-n // (8 * r_colours))  # ceil(n / 8r)
     for x_mask in family.containers:
         if popcount(x_mask) < floor_size:
             continue
-        y_mask = x_mask
-        deleted = 0
-        while True:
-            projected = project(restrict_edges(h, y_mask), ext.pi)
-            if not require_verdict(
-                projected, p, r_param, context=f"trimmed container {y_mask:b}"
-            ):
-                family.shrunk[x_mask] = y_mask
-                break
-            if deleted >= allowance:
-                family.violations.append(
-                    f"container {x_mask:b}: projected sub-hypergraph stays (p, R) "
-                    f"within the trimming allowance {allowance}"
-                )
-                break
-            # delete the vertex carrying the most surviving edges
-            best_v, best_load = -1, -1
-            for u in bits_of(y_mask):
-                load = sum(1 for e in h.edges if e & ~y_mask == 0 and e >> u & 1)
-                if load > best_load:
-                    best_v, best_load = u, load
-            y_mask &= ~(1 << best_v)
-            deleted += 1
+        projected = project(restrict_edges(h, x_mask), ext.pi)
+        if require_verdict(projected, p, r_param, context=f"trimmed container {x_mask:b}"):
+            family.violations.append(
+                f"container {x_mask:b}: projected sub-hypergraph stays (p, R) "
+                "within the trimming allowance 0"
+            )
+        else:
+            family.shrunk[x_mask] = x_mask
     _check_size_bound(family, q, n, 4)
     return family

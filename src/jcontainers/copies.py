@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError
 from .hypercore import (
@@ -120,22 +121,21 @@ class ExtensionHypergraph:
     """Two-layer hypergraph recording how a fresh vertex extends copies.
 
     ``hyper`` lives on [0, 2m); vertex u + b*m is the pair (u, b).  ``pi``
-    is the first-coordinate projection; |pi(E)| = |E| holds for every edge
-    by construction and is re-checked here.
+    is the first-coordinate projection u + b*m -> u; |pi(E)| = |E| holds for
+    every edge by construction and is re-checked here.
     """
 
     hyper: Hypergraph
     m: int
-    pi: VertexMap
 
     def __post_init__(self):
         for e in self.hyper.edges:
             if popcount(self.pi.apply_mask(e)) != popcount(e):
                 raise InputError("projection must be injective on every edge")
 
-
-def first_coordinate_map(m: int) -> VertexMap:
-    return VertexMap(2 * m, m, tuple(list(range(m)) + list(range(m))))
+    @cached_property
+    def pi(self) -> VertexMap:
+        return VertexMap(2 * self.m, self.m, tuple(range(self.m)) * 2)
 
 
 def extension_hypergraph(
@@ -159,9 +159,7 @@ def extension_hypergraph(
         edges.append(e)
     # distinct base copies cannot collide, since the first-coordinate
     # projection recovers L from E_L; Hypergraph rejects a duplicate edge
-    return ExtensionHypergraph(
-        Hypergraph(2 * m, tuple(sorted(edges))), m, first_coordinate_map(m)
-    )
+    return ExtensionHypergraph(Hypergraph(2 * m, tuple(sorted(edges))), m)
 
 
 def iota(g_prime: Graph, g: Graph, u_mask: int, v: int) -> int:

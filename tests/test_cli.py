@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 
 import jcontainers
-from jcontainers import cli, fileio
+from jcontainers import cli, containers, fileio
 from jcontainers.cli import dispatch, load_config, load_graph
+from jcontainers.containers import UniformContainerFamily
 from jcontainers.errors import InputError
 from jcontainers.hypercore import Graph, Hypergraph, mask_of
 from jcontainers.ramsey import ExperimentConfig
@@ -496,6 +497,25 @@ class TestPipelineCommands:
         assert strict["params"].pop("scaled") is False and loose["params"].pop("scaled") is True
         assert strict == loose
 
+    def test_silent_empty_oracle_gives_violations_and_exit_1(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # an oracle that emits nothing and reports nothing leaves every
+        # uncertified set uncovered; on one pair edge these are {}, {0}, {1}
+        monkeypatch.setattr(
+            containers, "uniform_container_oracle", lambda h, p: UniformContainerFamily({}, {})
+        )
+        path = tmp_path / "pair.hg"
+        path.write_text("hypergraph 2\nE 0 1\n")
+        code = dispatch([
+            "containers", "--hypergraph", str(path),
+            "--p", "1/65536", "--q", "1/16", "--R", "1/2097152",
+        ])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert out["incomplete"] == []
+        assert out["violations"] == [f"uncovered vertex set {m:b}" for m in (0, 1, 2)]
+
     def test_budget_exit_code(self, capsys):
         code = dispatch([
             "ramsey", "arrows", "--G", "K6", "--H", "K3", "--r", "2",
@@ -670,6 +690,52 @@ class TestPipelineRanges:
         assert dispatch(argv + numbers) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"input error: {message}") and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["containers", "--hypergraph", "pair.hg", "--p", "1e-4299", "--q", "1e-4300",
+              "--R", "1", "--no-strict"], "p and q must satisfy 0 < p <= q"),
+            (["containers", "--hypergraph", "pair.hg", "--p", "1/65536", "--q", "1/16",
+              "--R=-1e-4300", "--no-strict"], "R must be nonnegative"),
+            (["extend-containers", "--F", "P3", "--w", "1", "--Gprime", "E4", "--G", "P4",
+              "--p", "1/16", "--q", "1/16", "--R", "1", "--Rprime=-1e-4300", "--no-strict"],
+             "R' must be nonnegative"),
+        ],
+        ids=["q", "R", "R'"],
+    )
+    def test_rational_past_the_digit_limit_in_a_message_exits_2(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        # the named value has 4,301 digits, one past the integer-printing limit
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pair.hg").write_text("hypergraph 2\nE 0 1\n")
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"input error: {message}")
+        assert captured.err.endswith("a rational of more than 4300 digits\n")
+
+    @pytest.mark.parametrize(
+        "command, code", [("containers", 0), ("extend-containers", 3)]
+    )
+    def test_size_bound_at_a_q_below_float_range(
+        self, four_vertex_hypergraph, capsys, command, code
+    ):
+        # float(q) is 0.0 here; the extension run then stops at its default
+        # eta = p^4 (q/2)^(4s), whose denominator is past the digit limit
+        if command == "containers":
+            argv = [command, "--hypergraph", four_vertex_hypergraph]
+        else:
+            argv = [command, "--F", "P3", "--w", "1", "--Gprime", "E4", "--G", "P4",
+                    "--Rprime", "0"]
+        argv += ["--p", "1e-401", "--q", "1e-400", "--R", "1", "--no-strict"]
+        assert dispatch(argv) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert json.loads(captured.out)["size_bound_ok"] is True
+        else:
+            assert captured.out == "" and captured.err.startswith("budget exceeded:")
 
     @given(
         extension=st.booleans(),

@@ -10,12 +10,12 @@ from jcontainers.containers import (
     _fingerprint_table,
     _popcounts,
     conditional_prob,
+    containment_table,
     cover_certificate,
     extension_containers,
     fingerprint,
     fingerprint_in_table,
     hardcover_family,
-    in_upset,
     minimal_members,
     non_janson_containers,
     p_weight,
@@ -370,14 +370,58 @@ class TestUniformOracle:
             assert janson_threshold(sub, p) <= p * popcount(x_mask) / 256
 
 
+@st.composite
+def uniform_hypergraphs(draw):
+    """An s-uniform hypergraph, s in 2..5, on s to 16 vertices."""
+    s = draw(st.integers(2, 5))
+    n = draw(st.integers(s, 16))
+    subset = st.lists(st.integers(0, n - 1), min_size=s, max_size=s, unique=True)
+    edges = draw(st.lists(subset.map(mask_of), max_size=30, unique=True))
+    return Hypergraph(n, tuple(sorted(edges))), s
+
+
+class TestSharedContainer:
+    """The oracle's one candidate, the union of the independent sets, always
+    verifies at s >= 2 and up to 16 vertices (see its docstring)."""
+
+    @given(uniform_hypergraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_random_uniform_hosts_get_the_shared_container(self, drawn):
+        h, s = drawn
+        fam = uniform_container_oracle(h, F(1, (1 << 11) * s * s))
+        # every singleton is independent at s >= 2, so the union is everything
+        assert fam.psi == {0: (1 << h.n) - 1}
+        assert fam.phi == {i: 0 for i in independent_sets(h)}
+        assert not fam.incomplete
+
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_complete_uniform_host_on_16_vertices(self, s):
+        h = Hypergraph(16, tuple(sorted(mask_of(c) for c in itertools.combinations(range(16), s))))
+        fam = uniform_container_oracle(h, F(1, (1 << 11) * s * s))
+        assert fam.psi == {0: (1 << 16) - 1}
+        assert not fam.incomplete
+
+    def test_non_uniform_host_rejected(self):
+        h = Hypergraph.from_vertex_lists(4, [[0, 1], [1, 2, 3]])
+        with pytest.raises(InputError, match="uniform"):
+            uniform_container_oracle(h, F(1, 1 << 20))
+
+    def test_empty_union_is_one_incomplete_line(self):
+        # every vertex is an edge: only the empty set is independent
+        h = Hypergraph.from_vertex_lists(3, [[0], [1], [2]])
+        fam = uniform_container_oracle(h, F(1, 1 << 11))
+        assert (fam.phi, fam.psi) == ({}, {})
+        assert fam.incomplete == ["shared container 0 does not verify"]
+
+
 class TestMinimalMembers:
     @given(hypergraphs(min_n=1, max_n=7))
     @settings(max_examples=40, deadline=None)
     def test_upset_membership_matches_direct(self, h):
         holds = lambda m: any(e & ~m == 0 for e in h.edges)
-        minimals = minimal_members(h.n, holds)
+        upset = containment_table(h.n, minimal_members(h.n, holds))
         for mask in range(1 << h.n):
-            assert in_upset(minimals, mask) == holds(mask)
+            assert upset[mask] == holds(mask)
 
 
 def pipeline_params(h, q=F(1, 16)):
@@ -434,6 +478,23 @@ class TestNonJansonPipeline:
         p, q, r = pipeline_params(h)
         with pytest.raises(InputError):
             non_janson_containers(h, p, q, r, eta=F(1, 128))
+
+
+class TestCoverageCheck:
+    """Every uncertified set must fit a container: a gap is incomplete when
+    the oracle stalled (a violation otherwise, see test_cli.py)."""
+
+    def test_stalled_oracle_lands_in_incomplete(self):
+        # every vertex is a one-vertex edge: only the empty set is uncertified,
+        # and the oracle's shared container is empty
+        h = Hypergraph.from_vertex_lists(3, [[0], [1], [2]])
+        fam = non_janson_containers(h, *pipeline_params(h))
+        assert fam.containers == ()
+        assert fam.violations == []
+        assert fam.incomplete == [
+            "T=0: shared container 0 does not verify",
+            "uncovered vertex set 0 (fallback oracle stalled)",
+        ]
 
 
 class TestExtensionPipeline:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from jcontainers.containers import in_upset, minimal_members
+from jcontainers.containers import containment_table, minimal_members
 from jcontainers.hypercore import Hypergraph, mask_of, popcount, restrict_edges
 from jcontainers.janson import (
     dual_lower_bound,
@@ -80,8 +80,9 @@ class TestCertifiedUpset:
             return require_verdict(restrict_edges(h, l_mask), p, r)
 
         minimals = minimal_members(h.n, holds)
+        upset = containment_table(h.n, minimals)
         for l_mask in range(1 << h.n):
-            assert in_upset(minimals, l_mask) == holds(l_mask)
+            assert upset[l_mask] == holds(l_mask)
         # monotone: supersets of certified sets stay certified
         for mm in minimals:
             assert holds(mm)
@@ -258,11 +259,11 @@ class TestFloatModePullback:
 
 class TestTwoLayerGuard:
     def test_non_injective_projection_rejected(self):
-        from jcontainers.copies import ExtensionHypergraph, first_coordinate_map
+        from jcontainers.copies import ExtensionHypergraph
         from jcontainers.errors import InputError
 
         # an edge with both layers of the same host vertex collapses under
         # the projection, which the construction must refuse
         bad = Hypergraph(4, (mask_of([0, 2]),))  # (0, layer0) and (0, layer1)
         with pytest.raises(InputError):
-            ExtensionHypergraph(bad, 2, first_coordinate_map(2))
+            ExtensionHypergraph(bad, 2)
