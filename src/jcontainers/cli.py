@@ -92,11 +92,6 @@ def _graph(spec: str, key: str) -> Graph:
     return _BUILT_IN[m.group(1)](num)
 
 
-def load_graph(spec: str) -> Graph:
-    """A named graph (K5, P4, C6, E3) or a graph file path."""
-    return _graph(spec, "G")
-
-
 def _hypergraph(path: str, key: str):
     return fileio.parse_hypergraph(_read(path, key))
 
@@ -219,6 +214,18 @@ def _nonnegative_budget(text: str) -> int:
     value = int(text)  # argparse reports a ValueError as an invalid value
     if value < 0:
         raise argparse.ArgumentTypeError(f"budget must be a nonnegative integer, got {text!r}")
+    return value
+
+
+# every target of ``ramsey arrows`` is the same graph, so a bad colouring
+# never needs more colours than the host has edges, at most C(64, 2)
+MAX_COLOURS = UNIVERSE_CAP * (UNIVERSE_CAP - 1) // 2
+
+
+def _colour_count(text: str) -> int:
+    value = int(text)
+    if value > MAX_COLOURS:
+        raise argparse.ArgumentTypeError(f"at most {MAX_COLOURS} colours, got {text!r}")
     return value
 
 
@@ -494,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = rsub.add_parser("arrows")
     pa.add_argument("--G", required=True)
     pa.add_argument("--H", required=True)
-    pa.add_argument("--r", type=int, required=True)
+    pa.add_argument("--r", type=_colour_count, required=True)
     pa.add_argument("--budget", type=_nonnegative_budget)
     pa.set_defaults(handler=cmd_arrows)
     pev = rsub.add_parser("event")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import BudgetError, InputError
+from .errors import InputError
 
 UNIVERSE_CAP = 64
 
@@ -175,39 +175,15 @@ class Hypergraph:
     def from_vertex_lists(n: int, edge_lists: Iterable[Iterable[int]]) -> "Hypergraph":
         return Hypergraph(n, tuple(mask_of(e) for e in edge_lists))
 
-    def edge_sizes(self) -> list[int]:
-        return [popcount(e) for e in self.edges]
-
     def uniformity(self) -> int | None:
         """Common edge size, or None if empty or non-uniform."""
-        sizes = set(self.edge_sizes())
+        sizes = {popcount(e) for e in self.edges}
         if len(sizes) == 1:
             return sizes.pop()
         return None
 
     def sorted_edges(self) -> "Hypergraph":
         return Hypergraph(self.n, tuple(sorted(self.edges)))
-
-
-def induced_sub(h: Hypergraph, w_mask: int) -> Hypergraph:
-    """Sub-hypergraph induced on W: exactly the edges contained in W,
-    relabelled onto [0, |W|) in increasing vertex order.
-    Use :func:`induced_sub_with_map` when the remap matters."""
-    sub, _ = induced_sub_with_map(h, w_mask)
-    return sub
-
-
-def induced_sub_with_map(h: Hypergraph, w_mask: int) -> tuple[Hypergraph, tuple[int, ...]]:
-    """As :func:`induced_sub`; also returns the old labels of the new vertices."""
-    if w_mask & ~((1 << h.n) - 1):
-        raise InputError("W contains a vertex outside the universe")
-    verts = bits_of(w_mask)
-    pos = {v: i for i, v in enumerate(verts)}
-    out = []
-    for e in h.edges:
-        if e & ~w_mask == 0:
-            out.append(mask_of(pos[v] for v in bits_of(e)))
-    return Hypergraph(len(verts), tuple(sorted(set(out)))), tuple(verts)
 
 
 def restrict_edges(h: Hypergraph, w_mask: int) -> Hypergraph:
@@ -250,10 +226,6 @@ class VertexMap:
             if not 0 <= img < self.n_target:
                 raise InputError("vertex map image outside target universe")
 
-    @staticmethod
-    def identity(n: int) -> "VertexMap":
-        return VertexMap(n, n, tuple(range(n)))
-
     def apply_mask(self, mask: int) -> int:
         out = 0
         for v in bits_of(mask):
@@ -284,37 +256,25 @@ def preimage_counts(h: Hypergraph, pi: VertexMap) -> dict[int, int]:
 DEFAULT_ENUM_CAP = 25
 
 
-def independent_sets(
-    h: Hypergraph, budget: int | None = None
-) -> Iterator[int]:
+def independent_sets(h: Hypergraph) -> Iterator[int]:
     """Yield exactly the vertex sets containing no edge of h, in increasing
-    bit-pattern order.
+    bit-pattern order; universes above ``DEFAULT_ENUM_CAP`` vertices are
+    refused.
 
     The recursion decides the highest-index vertex first (exclude before
     include), which makes the yield order coincide with integer order of the
     masks; an edge is re-checked only when its lowest vertex is added.
-    Exceeds ``budget`` yields -> BudgetError carrying the partial count.
     """
-    if budget is None and h.n > DEFAULT_ENUM_CAP:
-        raise InputError(
-            f"universe size {h.n} above enumeration cap {DEFAULT_ENUM_CAP}; pass a budget"
-        )
+    if h.n > DEFAULT_ENUM_CAP:
+        raise InputError(f"universe size {h.n} above enumeration cap {DEFAULT_ENUM_CAP}")
     if 0 in h.edges:
         return  # the empty edge is inside every set, nothing is independent
     edges_by_min: list[list[int]] = [[] for _ in range(h.n)]
     for e in h.edges:
         edges_by_min[(e & -e).bit_length() - 1].append(e)
 
-    count = 0
-
     def rec(v: int, current: int) -> Iterator[int]:
-        nonlocal count
         if v < 0:
-            count += 1
-            if budget is not None and count > budget:
-                raise BudgetError(
-                    f"independent-set budget {budget} exceeded", partial=count - 1
-                )
             yield current
             return
         yield from rec(v - 1, current)  # without v: smaller bit patterns first

@@ -18,9 +18,10 @@ for small edge counts and rational p an exact rational KKT enumeration over
 support patterns.  Every verdict comes from one rule on a mass-one point x
 (:func:`_decide`): YES when R lambda_p(x) clears 1, NO when R times the dual
 bound 2 min_j (Qx)_j - x^T Q x, which lies below the minimum by convexity,
-reaches 1.  The yes/no queries of :func:`require_verdict` first put an exact
-copy of a short Frank-Wolfe run's point to it, and enumerate only when 1/R
-lies between the two.
+reaches 1; both values come from one pass over x (:func:`_evaluate`).  The
+yes/no queries of :func:`require_verdict` first put an exact copy of a
+short Frank-Wolfe run's point to it, and enumerate only when 1/R lies
+between the two.
 
 Queries that need no solve are settled first (:func:`_settled`): an edge of
 size <= 1 (including the empty edge) absorbs all mass with lambda = 0, so R*
@@ -44,7 +45,6 @@ from .measures import (
     add,
     degree,
     lambda_p,
-    lambda_p_pairwise,
     mass,
     pair_coefficient,
     scale,
@@ -247,31 +247,42 @@ def min_lambda_fw(h: Hypergraph, p: float, tol: float = DEFAULT_TOL) -> MinLambd
     return MinLambdaResult(value, Measure(h, tuple(x), exact=False), gap, iterations, exact=False)
 
 
+def _evaluate(x: Measure, p):
+    """(lambda_p(x), dual bound at x) from one pass over the support of x.
+
+    The pass forms (Qx)_j = sum_i coef[|E_j & E_i|] x_i over the support,
+    skipping the pairs that share fewer than two vertices (their coefficient
+    is 0).  Then lambda_p(x) = sum_j x_j (Qx)_j, and by convexity the
+    simplex minimum is at least lambda_p(x) - 2 (lambda_p(x) - min_j (Qx)_j),
+    the gap clamped at 0 so that a floating bound never exceeds lambda_p(x).
+    On an exact measure with rational p both values are exact."""
+    exact = x.exact
+    if not exact:
+        p = float(p)
+    zero = Fraction(0) if exact else 0.0
+    edges = x.host.edges
+    support = [(edges[i], x.weights[i]) for i in x.support()]
+    top = max((popcount(e) for e in edges), default=0)
+    coef = [pair_coefficient(c, p, exact) for c in range(top + 1)]
+    qx = []
+    for e in edges:
+        acc = zero
+        for f, w in support:
+            c = (e & f).bit_count()
+            if c >= 2:
+                acc += coef[c] * w
+        qx.append(acc)
+    lam = sum((w * qj for w, qj in zip(x.weights, qx) if w), zero)
+    return lam, lam - max(2 * (lam - min(qx)), zero)
+
+
 def dual_lower_bound(witness: Measure, p):
     """Certified lower bound on the simplex minimum, recomputed from a
-    feasible point without the solver: by convexity the minimum is at least
-    f(x) - (x . grad - min_i grad_i) = 2 min_i (Qx)_i - x^T Q x.  It
-    shares nothing with the solver's loop, so it double-checks the
-    Frank-Wolfe certificate independently; on an exact measure with
-    rational p the bound is exact."""
-    exact = witness.exact
-    zero = Fraction(0) if exact else 0.0
-    if exact:
-        x = list(witness.weights)
-    else:
-        x = [float(w) for w in witness.weights]
-        p = float(p)
-    q = overlap_matrix(witness.host, p, exact)
-    grad = []
-    for row in q:
-        acc = zero
-        for qij, xj in zip(row, x):
-            if xj:
-                acc += qij * xj
-        grad.append(2 * acc)
-    xg = sum(g * xi for g, xi in zip(grad, x))
-    fw_gap = max(xg - min(grad), zero)
-    return xg / 2 - fw_gap
+    feasible point without the solver: the second value of
+    :func:`_evaluate`, 2 min_j (Qx)_j - x^T Q x.  It shares nothing with the
+    solver's loop, so it double-checks the Frank-Wolfe certificate
+    independently; on an exact measure with rational p the bound is exact."""
+    return _evaluate(witness, p)[1]
 
 
 _cache: dict = {}  # min_lambda's memo key -> (result, canonical edge order)
@@ -354,31 +365,20 @@ def _settled(h: Hypergraph, p, r) -> Optional[str]:
     return None
 
 
-def _decide(x: Measure, p, r, value):
-    """The one YES/NO rule, on a mass-one point x: (answer, dual bound at x
-    or None when it was not needed).
+def _decide(x: Measure, p, r):
+    """The one YES/NO rule, on a mass-one point x: (answer, dual bound at
+    x), both read off one :func:`_evaluate` pass.
 
     YES when R lambda_p(x) < 1 (exact x) or <= 1 - DEFAULT_TOL (floating
-    x): x is the witness, its overlap recomputed pairwise.  NO when R times
-    :func:`dual_lower_bound` at x is >= 1: by convexity that bound lies
-    below the simplex minimum, whatever solver produced x.  Otherwise
-    UNDECIDED.  The two tests cannot both pass, so ``value``, the caller's
-    estimate of lambda_p(x), only picks the test tried first: a query it
-    decides pays for one O(m^2) recomputation, not two."""
-    if x.exact:
-        r = Fraction(r)
-    else:
-        p, r = float(p), float(r)
-    dual = None
-    for test in ("NO", "YES") if r * value >= 1 else ("YES", "NO"):
-        if test == "YES":
-            lam = r * lambda_p_pairwise(x, p)
-            if lam < 1 if x.exact else lam <= 1.0 - DEFAULT_TOL:
-                return "YES", dual
-        else:
-            dual = dual_lower_bound(x, p)
-            if r * dual >= 1:
-                return "NO", dual
+    x): x is the witness.  NO when R times the dual bound at x is >= 1: by
+    convexity that bound lies below the simplex minimum, whatever solver
+    produced x.  Otherwise UNDECIDED."""
+    lam, dual = _evaluate(x, p)
+    r = Fraction(r) if x.exact else float(r)
+    if r * lam < 1 if x.exact else r * lam <= 1.0 - DEFAULT_TOL:
+        return "YES", dual
+    if r * dual >= 1:
+        return "NO", dual
     return "UNDECIDED", dual
 
 
@@ -388,9 +388,10 @@ def is_janson(h: Hypergraph, p, r) -> JansonVerdict:
     Queries that need no solve are settled by :func:`_settled`.  Otherwise
     the minimiser of :func:`min_lambda` goes through :func:`_decide`: always
     on the exact path, and on the floating path only when the solver's own
-    value or lower bound (value - gap) can decide.  A NO carries the dual
-    bound at the minimiser, which on the exact path equals the minimum; an
-    exact minimiser that fails both tests gives UNDECIDED, never a guess.
+    value or lower bound (value - gap) can decide.  A NO and every exact
+    verdict carry the dual bound at the minimiser, which on the exact path
+    equals the minimum; an exact minimiser that fails both tests gives
+    UNDECIDED, never a guess.
     """
     tol = DEFAULT_TOL
     settled = _settled(h, p, r)
@@ -412,7 +413,7 @@ def is_janson(h: Hypergraph, p, r) -> JansonVerdict:
     lower = value - result.gap
     answer, dual = "UNDECIDED", None
     if exact or float(r) * value < 1.0 or float(r) * lower >= 1.0:
-        answer, dual = _decide(result.witness, p, r, value)
+        answer, dual = _decide(result.witness, p, r)
     note = ""
     if answer == "UNDECIDED":
         note = (
@@ -420,7 +421,7 @@ def is_janson(h: Hypergraph, p, r) -> JansonVerdict:
             else "optimum sits within tolerance of the strict boundary"
         )
     witness = None if answer == "NO" else result.witness
-    bound = dual if dual is not None and (exact or answer == "NO") else lower
+    bound = dual if exact or answer == "NO" else lower
     gap = 0 if exact else result.gap
     return JansonVerdict(answer, 1 / value, witness, bound, gap, result.iterations, tol, exact, note)
 
@@ -466,7 +467,7 @@ def _bracket_verdict(h: Hypergraph, p, r):
     canon = Hypergraph(h.n, edges)
     try:
         q = overlap_matrix(canon, float(p), exact=False)
-        point, value = _frank_wolfe(q, BRACKET_MAX_ITER, DEFAULT_TOL, 1.0 / float(r))[:2]
+        point = _frank_wolfe(q, BRACKET_MAX_ITER, DEFAULT_TOL, 1.0 / float(r))[0]
         # on the dyadic grid of step 2^-48, the rounding residue moved to
         # the largest coordinate so that the mass is exactly one
         grid = [round(v * _GRID) for v in point]
@@ -474,7 +475,7 @@ def _bracket_verdict(h: Hypergraph, p, r):
         return None  # p, R or the overlaps beyond float range: enumerate
     grid[grid.index(max(grid))] += _GRID - sum(grid)
     x = Measure(canon, tuple(Fraction(k, _GRID) for k in grid), exact=True)
-    answer = _decide(x, p, r, value)[0]
+    answer = _decide(x, p, r)[0]
     decided = _brackets[key] = {"YES": True, "NO": False}.get(answer)
     return decided
 

@@ -81,16 +81,6 @@ class Measure:
         return Measure(host, (fill,) * len(host.edges), exact)
 
     @staticmethod
-    def uniform(host: Hypergraph, total=1, exact: bool = True) -> "Measure":
-        if not host.edges:
-            raise InputError("uniform measure needs at least one edge")
-        if exact:
-            w = Fraction(total, len(host.edges))
-        else:
-            w = float(total) / len(host.edges)
-        return Measure(host, (w,) * len(host.edges), exact)
-
-    @staticmethod
     def unit_on(host: Hypergraph, index: int, exact: bool = True) -> "Measure":
         one = Fraction(1) if exact else 1.0
         zero = Fraction(0) if exact else 0.0
@@ -220,8 +210,10 @@ def extend_by_vertex(m: Measure, v: int) -> Measure:
 
 def reweight_restrict(m: Measure, a_mask: int, probs: Sequence | Callable) -> Measure:
     """Weight nu(E) * [E inside A] / P(E), the survival-reweighted restriction
-    used by the Monte-Carlo replications.  P(E) = 0 on a surviving
-    positive-weight edge is a certificate violation."""
+    of a random vertex set A: when E lies inside A with probability P(E),
+    its expectation is nu.  A construction of the paper kept as a library
+    function; no pipeline or experiment here calls it.  P(E) = 0 on a
+    surviving positive-weight edge is a certificate violation."""
     if callable(probs):
         pvals = [probs(e) for e in m.host.edges]
     else:
@@ -258,21 +250,3 @@ def scale(m: Measure, t) -> Measure:
     else:
         t = float(t)
     return Measure(m.host, tuple(w * t for w in m.weights), m.exact)
-
-
-def restrict_to(m: Measure, sub: Hypergraph) -> Measure:
-    """Zero the weights outside a sub-hypergraph (same universe)."""
-    if sub.n != m.host.n:
-        raise InputError("restriction target must share the universe")
-    keep = set(sub.edges)
-    zero = Fraction(0) if m.exact else 0.0
-    ws = tuple(w if e in keep else zero for e, w in zip(m.host.edges, m.weights))
-    return Measure(m.host, ws, m.exact)
-
-
-def normalized(m: Measure, total=1) -> Measure:
-    """Scale to a prescribed mass (the standard witness normalisation)."""
-    e = mass(m)
-    if e == 0:
-        raise InputError("cannot normalise a zero measure")
-    return scale(m, (Fraction(total) / e) if m.exact else float(total) / e)

@@ -24,6 +24,8 @@ from .measures import as_fraction
 from .prng import SplitMix64
 
 PATTERN_SPACE_CAP = 1 << 20  # pattern tuples event E may enumerate before sampling
+PATTERN_BUDGET = 200  # pattern tuples event E sweeps; beyond it they are sampled
+SUBSET_SPACE_CAP = 1 << 20  # vertex sets event B' or E may list before sampling
 
 
 @dataclass
@@ -181,6 +183,18 @@ def _sample_subsets(subsets: list, budget: int, rng: SplitMix64, report: EventRe
     return subsets[:half] + [pool[rng.below(len(pool))] for _ in range(half)]
 
 
+def _large_subsets(n: int, floor: int, event: str) -> list:
+    """The vertex sets of [0, n) with at least ``floor`` vertices, in
+    increasing mask order.  Their number is counted first: above
+    ``SUBSET_SPACE_CAP`` that is a BudgetError, and no set is listed."""
+    space = sum(math.comb(n, k) for k in range(max(floor, 0), n + 1))
+    if space > SUBSET_SPACE_CAP:
+        raise BudgetError(
+            f"event {event} spans {space} vertex sets, above the cap {SUBSET_SPACE_CAP}"
+        )
+    return [m for m in range(1 << n) if popcount(m) >= floor]
+
+
 def _copies_inside(target: Graph, colour_graph: Graph, g: Graph, mask: int) -> Hypergraph:
     """The induced copies of the target in the colour graph that lie inside
     ``mask``; a full mask keeps the copy hypergraph as built."""
@@ -270,10 +284,7 @@ def check_event_bad_prime(
     rng = SplitMix64(seed)
     # small sets first: their copy hypergraphs are empty or tiny, so the
     # common case resolves before the sweep touches anything expensive
-    subsets = sorted(
-        (m for m in range(1 << n) if popcount(m) >= floor),
-        key=lambda m: (popcount(m), m),
-    )
+    subsets = sorted(_large_subsets(n, floor, "Bprime"), key=popcount)
     subsets = _sample_subsets(subsets, budget_subsets, rng, report)
     windows = ((s_mask, targets, r_bar) for s_mask in subsets)
     found = _sweep(report, g, windows, p, budget_colorings, rng)
@@ -302,7 +313,6 @@ def check_event_inductive(
     p,
     delta: float,
     budget_colorings: int = 1 << 14,
-    budget_patterns: int = 200,
     budget_subsets: int = 1 << 12,
     seed: int = 0,
 ) -> EventReport:
@@ -310,11 +320,12 @@ def check_event_inductive(
     every pattern tuple, every large W and every colouring of G[W], some
     colour's copy hypergraph inside W has a (p, p |W|) witness.
 
-    The pattern tuples are combinatorially huge even here, so beyond the
-    budget they are sampled and the report drops its exhaustive flag.  The
-    space they are drawn from, every tuple of labelled graphs with 1..s_i
-    vertices, is enumerated in full first; above ``PATTERN_SPACE_CAP``
-    tuples that is a BudgetError."""
+    The pattern tuples are combinatorially huge even here, so beyond
+    ``PATTERN_BUDGET`` they are sampled and the report drops its exhaustive
+    flag.  The space they are drawn from, every tuple of labelled graphs
+    with 1..s_i vertices, is enumerated in full first; above
+    ``PATTERN_SPACE_CAP`` tuples that is a BudgetError.  So is a list of
+    large W above ``SUBSET_SPACE_CAP`` sets; each size floor is listed once."""
     p = as_fraction(p, "p")
     r = len(sizes)
     t = sum(sizes)
@@ -336,18 +347,20 @@ def check_event_inductive(
         if group is not None:
             group.append(combo)
     tuples = [(t_prime, combo) for t_prime, group in by_size.items() for combo in group]
-    if len(tuples) > budget_patterns:
+    if len(tuples) > PATTERN_BUDGET:
         report.exhaustive = False
-        idx = sorted(rng.below(len(tuples)) for _ in range(budget_patterns))
+        idx = sorted(rng.below(len(tuples)) for _ in range(PATTERN_BUDGET))
         tuples = [tuples[i] for i in idx]
+    subsets = {}  # floor -> the large W, listed when the sweep first needs them
 
     def windows():
         # lazily, so that each tuple samples its subsets when the sweep
         # reaches it
         for t_prime, patterns in tuples:
-            floor = max(0, math.ceil((delta / (8 * r)) ** (t - t_prime) * n))
-            subsets = [m for m in range(1 << n) if popcount(m) >= floor]
-            for w_mask in _sample_subsets(subsets, budget_subsets, rng, report):
+            floor = math.ceil((delta / (8 * r)) ** (t - t_prime) * n)
+            if floor not in subsets:
+                subsets[floor] = _large_subsets(n, floor, "E")
+            for w_mask in _sample_subsets(subsets[floor], budget_subsets, rng, report):
                 yield w_mask, patterns, p * popcount(w_mask)
 
     found = _sweep(report, g, windows(), p, budget_colorings, rng)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 
 import jcontainers
 from jcontainers import cli, containers, fileio
-from jcontainers.cli import dispatch, load_config, load_graph
+from jcontainers.cli import _graph, dispatch, load_config
 from jcontainers.containers import UniformContainerFamily
 from jcontainers.errors import InputError
 from jcontainers.hypercore import Graph, Hypergraph, mask_of
@@ -72,10 +72,10 @@ class TestFileFormats:
             parse(text)
 
     def test_named_graphs(self):
-        assert load_graph("K4") == Graph.complete(4)
-        assert load_graph("P3") == Graph.path(3)
-        assert load_graph("C5") == Graph.cycle(5)
-        assert load_graph("E2") == Graph.empty(2)
+        assert _graph("K4", "G") == Graph.complete(4)
+        assert _graph("P3", "G") == Graph.path(3)
+        assert _graph("C5", "G") == Graph.cycle(5)
+        assert _graph("E2", "G") == Graph.empty(2)
 
     @pytest.mark.parametrize(
         "parse, text, line",
@@ -92,7 +92,7 @@ class TestFileFormats:
 
     def test_named_graph_over_the_cap_rejected(self):
         with pytest.raises(InputError):
-            load_graph("K99999999999")
+            _graph("K99999999999", "G")
 
     @pytest.mark.parametrize("token", ["1e999999999", "1e-999999999", "2E5000"])
     def test_huge_exponent_rejected(self, token):
@@ -176,6 +176,14 @@ class TestDispatch:
         # a zero budget is valid input: the search runs out of it
         assert dispatch(argv + ["--budget", "0"]) == 3
         assert "budget exceeded" in capsys.readouterr().err
+
+    def test_colour_count_above_the_edge_cap_exits_2_naming_r(self, capsys):
+        # a bad colouring never needs more colours than K64 has edges
+        argv = ["ramsey", "arrows", "--G", "K4", "--H", "K3", "--r"]
+        assert dispatch(argv + ["2017"]) == 2
+        assert "argument --r: at most 2016 colours" in capsys.readouterr().err
+        assert dispatch(argv + ["2016", "--budget", "100"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"arrows": False, "r": 2016}
 
     @pytest.mark.parametrize("spec", ["K2,,K2", ",K2", "K2,", ""])
     def test_empty_target_item_exits_2_naming_H(self, tmp_path, capsys, monkeypatch, spec):
@@ -888,3 +896,21 @@ class TestImports:
         assert done.returncode == 0, done.stderr
         assert done.stderr.split() == ["0"] * len(runs)
         assert done.stdout.split() == ["False"]
+
+
+class TestEntryPoint:
+    def test_console_script_target_matches_dispatch(self, tmp_path, monkeypatch, capsys):
+        # [project.scripts] runs jcontainers.cli:main; it must exit and
+        # print exactly as dispatch does on the same argv
+        (tmp_path / "h.hg").write_text("hypergraph 4\nE 0 1\nE 2 3\n")
+        argv = ["janson", "--hypergraph", "h.hg", "--p", "1/2", "--R", "1/5"]
+        src_dir = os.path.dirname(os.path.dirname(jcontainers.__file__))
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        done = subprocess.run(
+            [sys.executable, "-c", "from jcontainers.cli import main; main()", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        monkeypatch.chdir(tmp_path)
+        code = dispatch(argv)
+        assert (done.returncode, done.stdout) == (code, capsys.readouterr().out)
+        assert code == 0 and done.stderr == ""

@@ -34,7 +34,7 @@ from jcontainers.measures import (
 )
 from jcontainers.prng import SplitMix64
 
-from conftest import hypergraphs
+from conftest import hypergraphs, rational_weights
 
 
 def single_edge(size, n=None):
@@ -266,7 +266,8 @@ class TestBoundedDegreeWitness:
         k, p, beta = 8, 0.5, 0.25
         r = k / 8.0
         h = disjoint_edges(k)
-        mu = scale(Measure.uniform(h, exact=False), math.sqrt(r))
+        m = len(h.edges)
+        mu = Measure(h, (math.sqrt(r) / m,) * m, exact=False)
         e = mass(mu)
         assert e == pytest.approx(math.sqrt(r))
         assert lambda_p(mu, p) < e**2 / r
@@ -434,6 +435,35 @@ class TestOverlapAndDualBound:
         bound = dual_lower_bound(x, p)
         assert bound <= best.value <= lambda_p_pairwise(x, p)
         assert dual_lower_bound(x.to_float(), p) == pytest.approx(float(bound), rel=1e-9, abs=1e-12)
+
+    @given(hypergraphs(min_n=2, max_n=7, max_edges=8), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_one_pass_matches_subsets_and_the_dense_dual(self, h, data):
+        # _evaluate's lambda is algorithm A's, and its dual bound is the
+        # dense formula 2 min_j (Qx)_j - x^T Q x over the full overlap
+        # matrix, zero coefficients and zero weights included
+        if not h.edges:
+            return
+        p = data.draw(st.sampled_from([F(1, 2), F(1, 3), F(2, 3), F(1, 5), F(1, 64), F(1)]))
+        x = Measure(h, data.draw(rational_weights(len(h.edges))))
+
+        def dense_dual(m, p):
+            zero = F(0) if m.exact else 0.0
+            q = overlap_matrix(m.host, p if m.exact else float(p), m.exact)
+            qx = [sum((a * w for a, w in zip(row, m.weights)), zero) for row in q]
+            lam = sum((w * v for w, v in zip(m.weights, qx)), zero)
+            return lam - max(2 * (lam - min(qx)), zero)
+
+        lam, dual = janson._evaluate(x, p)
+        assert lam == lambda_p_subsets(x, p)
+        assert dual == dense_dual(x, p)
+        assert dual <= lam
+        xf = x.to_float()
+        lam_f, dual_f = janson._evaluate(xf, p)
+        scale_f = 1e-12 * max(1.0, float(lam))
+        assert lam_f == pytest.approx(lambda_p_subsets(xf, float(p)), rel=1e-12, abs=scale_f)
+        assert dual_f == pytest.approx(dense_dual(xf, p), rel=1e-12, abs=scale_f)
+        assert dual_f <= lam_f
 
 
 R_PLACES = ["at", "above", "below", "far above", "far below"]

@@ -196,14 +196,44 @@ class TestEvents:
         assert report.holds is False
         assert report.witness  # carries the failing tuple and window
 
-    def test_inductive_event_notes_subset_sampling_once(self):
+    def test_inductive_event_notes_subset_sampling_once(self, monkeypatch):
         # several sampled pattern tuples each sample their subsets
+        monkeypatch.setattr(ramsey, "PATTERN_BUDGET", 6)
         report = check_event_inductive(
-            Graph.cycle(5), [2, 2], F(1, 4), delta=0.3,
-            budget_subsets=4, budget_patterns=6, seed=3,
+            Graph.cycle(5), [2, 2], F(1, 4), delta=0.3, budget_subsets=4, seed=3,
         )
         assert report.exhaustive is False
         assert report.notes.count("subset space sampled beyond the budget") == 1
+
+    def test_inductive_event_samples_its_pattern_tuples(self, monkeypatch):
+        # [2, 2] has 5 pattern tuples below t = 4; a budget of 2 samples them
+        full = check_event_inductive(Graph.cycle(5), [2, 2], F(1, 4), delta=0.3, seed=3)
+        assert full.exhaustive is True
+        monkeypatch.setattr(ramsey, "PATTERN_BUDGET", 2)
+        sampled = check_event_inductive(Graph.cycle(5), [2, 2], F(1, 4), delta=0.3, seed=3)
+        assert sampled.exhaustive is False
+
+    @pytest.mark.parametrize("kind", ["Bprime", "E"])
+    def test_subset_space_capped_before_it_is_listed(self, kind):
+        # 2^24 vertex sets on 24 vertices: the count is checked before any
+        # set is listed
+        g, targets = Graph.complete(24), [Graph.complete(2)] * 2
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="vertex sets, above the cap"):
+            if kind == "Bprime":
+                check_event_bad_prime(g, targets, F(1, 4), 0.3)
+            else:
+                check_event_inductive(g, [2, 2], F(1, 4), delta=0.3)
+        assert time.perf_counter() - start < 1.0
+
+    def test_inductive_event_lists_each_floor_once(self, monkeypatch):
+        calls = []
+        original = ramsey._large_subsets
+        monkeypatch.setattr(
+            ramsey, "_large_subsets", lambda *a: calls.append(a) or original(*a)
+        )
+        check_event_inductive(Graph.empty(5), [2, 2], F(1, 4), delta=0.3)
+        assert len(calls) == len(set(calls)) >= 1
 
     def test_inductive_pattern_space_capped_before_it_is_built(self):
         # an 8-vertex target spans 2^28 labelled graphs on its own; the
