@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import datetime
-import hashlib
 import json
 import os
 import re
@@ -61,18 +59,20 @@ _NAMED_GRAPH = re.compile(r"^([KPCE])(\d+)$")
 _BUILT_IN = {"K": Graph.complete, "P": Graph.path, "C": Graph.cycle, "E": Graph.empty}
 
 # run-record key -> sha256 of each input file read by the dispatch call in
-# progress; unset outside a dispatch call
+# progress; set only when that call persists a run record (``--out``)
 _digests: ContextVar = ContextVar("input_digests", default=None)
 
 
 def _read(path: str, key: str) -> str:
     """The text of one input file.  The file is opened once, and inside a
-    dispatch call the sha256 of the bytes parsed is kept under ``key``
-    (``hypergraph``, ``target``, ``cover``, ``config``, ``G``, ``Gprime``,
-    ``F``, ``H`` or ``H[i]``)."""
+    dispatch call with ``--out`` the sha256 of the bytes parsed is kept
+    under ``key`` (``hypergraph``, ``target``, ``cover``, ``config``, ``G``,
+    ``Gprime``, ``F``, ``H`` or ``H[i]``)."""
     data = Path(path).read_bytes()
     digests = _digests.get()
     if digests is not None:
+        import hashlib
+
         digests[key] = hashlib.sha256(data).hexdigest()
     try:
         return data.decode()
@@ -136,6 +136,9 @@ class RunRecord:
 
 
 def persist(outdir: str, record: RunRecord, payload_text: str, extra_files: dict):
+    import datetime
+    import hashlib
+
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "out.json").write_text(payload_text)
@@ -522,7 +525,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args, argv) -> int:
     """Run the chosen handler, print its payload and, with ``--out``,
-    persist the run record; returns the exit code."""
+    digest the inputs and persist the run record; returns the exit code.
+    Only the run record loads ``datetime`` and ``hashlib``."""
+    if not args.out:
+        code, payload_text, _ = args.handler(args)
+        sys.stdout.write(payload_text)
+        return code
+    import datetime
+
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     digests = {}
     token = _digests.set(digests)
@@ -531,16 +541,15 @@ def _run(args, argv) -> int:
     finally:
         _digests.reset(token)
     sys.stdout.write(payload_text)
-    if args.out:
-        record = RunRecord(
-            command=list(argv),
-            config={k: _jsonable(v) for k, v in vars(args).items() if k != "handler"},
-            version=__version__,
-            input_digests=digests,
-            started=started,
-            exit_status=code,
-        )
-        persist(args.out, record, payload_text, extra_files)
+    record = RunRecord(
+        command=list(argv),
+        config={k: _jsonable(v) for k, v in vars(args).items() if k != "handler"},
+        version=__version__,
+        input_digests=digests,
+        started=started,
+        exit_status=code,
+    )
+    persist(args.out, record, payload_text, extra_files)
     return code
 
 

@@ -11,14 +11,17 @@ Vertex (u, b) of the two-layer universe is encoded as u + b*m where m is the
 host size; the projection onto the first coordinate is therefore x mod m.
 Isomorphisms are found by permutation backtracking with degree pruning
 (pattern size capped at 8) and each stored witness is the lexicographically
-least bijection, so edges that depend on the witness are reproducible.
+least bijection, so edges that depend on the witness are reproducible.  That
+witness depends only on the adjacency code of G'[L], so the copy test
+backtracks once per pattern and code and looks every later set up in the
+pattern's copy table.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import InputError
 from .hypercore import (
@@ -34,6 +37,7 @@ from .hypercore import (
 )
 
 PATTERN_CAP = 8
+COPY_TABLES = 64  # patterns whose copy tables are kept
 
 
 def least_isomorphism(pattern: Graph, host: Graph, l_verts: list[int]):
@@ -98,21 +102,49 @@ def _check_pair(g_prime: Graph, g: Graph):
         raise InputError("G' must be an edge-subgraph of G")
 
 
+@lru_cache(maxsize=COPY_TABLES)
+def _copy_table(f: Graph) -> dict:
+    """Pattern F's copy table, adjacency code -> least witness or None,
+    filled by :func:`induced_copy_hypergraph`."""
+    return {}
+
+
 def induced_copy_hypergraph(f: Graph, g_prime: Graph, g: Graph) -> CopyHypergraph:
-    """All vertex sets L with G'[L] = G[L] isomorphic to F."""
+    """All vertex sets L with G'[L] = G[L] isomorphic to F.
+
+    The adjacency code of G'[L] has one bit per pair i < j of positions in
+    ascending vertex order, set when G' joins the i-th and j-th vertex of L.
+    ``least_isomorphism`` reads nothing else of G', so each code is resolved
+    by it on the first vertex set that shows it and read from F's copy table
+    afterwards.  Memory: tables are kept for at most ``COPY_TABLES``
+    patterns (least recently used out), and a table on k vertices holds the
+    distinct codes seen, never more than 2^C(k,2)."""
     _check_pair(g_prime, g)
-    if f.n > PATTERN_CAP:
-        raise InputError(f"pattern size {f.n} above cap {PATTERN_CAP}")
+    k = f.n
+    if k > PATTERN_CAP:
+        raise InputError(f"pattern size {k} above cap {PATTERN_CAP}")
+    table = _copy_table(f)
+    adj = g_prime.adj
+    missing = [row ^ g_row for row, g_row in zip(adj, g.adj)]  # G-edges not in G'
+    pairs = list(itertools.combinations(range(k), 2))
     edges = []
     witnesses = {}
-    for combo in itertools.combinations(range(g.n), f.n):
-        l_mask = mask_of(combo)
-        if any(g_prime.adj[u] & l_mask != g.adj[u] & l_mask for u in combo):
-            continue  # some G-edge inside L is missing from G'
-        phi = least_isomorphism(f, g_prime, list(combo))
-        if phi is not None:
-            edges.append(l_mask)
-            witnesses[l_mask] = phi
+    for combo in itertools.combinations(range(g.n), k):
+        code = 0
+        for i, j in pairs:
+            u, v = combo[i], combo[j]
+            if missing[u] >> v & 1:
+                break  # a G-edge inside L is missing from G'
+            code = code << 1 | adj[u] >> v & 1
+        else:
+            try:
+                phi = table[code]
+            except KeyError:
+                phi = table[code] = least_isomorphism(f, g_prime, list(combo))
+            if phi is not None:
+                l_mask = mask_of(combo)
+                edges.append(l_mask)
+                witnesses[l_mask] = phi
     return CopyHypergraph(Hypergraph(g.n, tuple(sorted(edges))), witnesses)
 
 

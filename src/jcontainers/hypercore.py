@@ -57,6 +57,11 @@ def _check_universe(n: int) -> None:
         raise InputError(f"universe size {n} exceeds cap {UNIVERSE_CAP}")
 
 
+# the one tuple of each vertex pair handed out by Graph.edges, filled as
+# pairs are first met: at most C(UNIVERSE_CAP, 2) = 2016 entries
+_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph: ``adj[v]`` is the neighbour bitmask of v.
@@ -119,7 +124,15 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in bits_of(self.adj[u]) if u < v]
+        """The edges (u, v), u < v, in increasing order; each pair is one
+        shared tuple, so colourings and witnesses that keep edges as keys
+        hold no tuples of their own."""
+        return [
+            _PAIRS.setdefault((u, v), (u, v))
+            for u in range(self.n)
+            for v in bits_of(self.adj[u])
+            if u < v
+        ]
 
     def edge_count(self) -> int:
         return sum(popcount(row) for row in self.adj) // 2

@@ -898,6 +898,33 @@ class TestImports:
         assert done.stdout.split() == ["False"]
 
 
+    def test_only_the_run_record_loads_hashlib_and_datetime(self, tmp_path):
+        (tmp_path / "h.hg").write_text("hypergraph 4\nE 0 1\nE 2 3\n")
+        code = (
+            "import contextlib, io, sys\n"
+            "from jcontainers.cli import dispatch\n"
+            "record = ('hashlib', 'datetime')\n"
+            "print(*(m in sys.modules for m in record))\n"
+            "argv = ['janson', '--hypergraph', 'h.hg', '--p', '1/2', '--R', '1/5']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert dispatch(argv) == 0\n"
+            "print(*(m in sys.modules for m in record))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert dispatch(['--out', 'run'] + argv) == 0\n"
+            "print(*(m in sys.modules for m in record))\n"
+        )
+        src_dir = os.path.dirname(os.path.dirname(jcontainers.__file__))
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"] * 4 + ["True"] * 2
+        record = json.loads((tmp_path / "run" / "record.json").read_text())
+        assert list(record["input_digests"]) == ["hypergraph"]
+
+
 class TestEntryPoint:
     def test_console_script_target_matches_dispatch(self, tmp_path, monkeypatch, capsys):
         # [project.scripts] runs jcontainers.cli:main; it must exit and

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jcontainers import copies
 from jcontainers.copies import (
+    CopyHypergraph,
     extend_copies,
     extension_hypergraph,
     induced_copy_hypergraph,
@@ -72,6 +74,85 @@ class TestInducedCopies:
         f = Graph.path(3)
         phi = least_isomorphism(f, Graph.path(3), [0, 1, 2])
         assert phi == (0, 1, 2)
+
+
+def backtracking_copies(f, g_prime, g):
+    """The reference copy hypergraph: every vertex set L with G'[L] = G[L]
+    goes through ``least_isomorphism`` on its own, with no copy table."""
+    edges = []
+    witnesses = {}
+    for combo in itertools.combinations(range(g.n), f.n):
+        l_mask = mask_of(combo)
+        if any(g_prime.adj[u] & l_mask != g.adj[u] & l_mask for u in combo):
+            continue
+        phi = least_isomorphism(f, g_prime, list(combo))
+        if phi is not None:
+            edges.append(l_mask)
+            witnesses[l_mask] = phi
+    return CopyHypergraph(Hypergraph(g.n, tuple(sorted(edges))), witnesses)
+
+
+def random_graph(rng, n):
+    """A graph on n vertices, each pair present with probability 1/2."""
+    return Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.bit()])
+
+
+def random_triple(rng):
+    """(F, G', G) with G on up to 14 vertices, G' an edge-subgraph of G
+    (G itself half the time) and F on up to 8 vertices, half the time a
+    relabelled induced subgraph of G' so that copies exist."""
+    n = rng.below(15)
+    g = random_graph(rng, n)
+    if rng.bit():
+        g_prime = g
+    else:
+        g_prime = Graph.from_edges(n, [e for e in g.edges() if rng.below(8)])
+    k = rng.below(min(n, 8) + 1)
+    if rng.bit():
+        f = random_graph(rng, k)
+    else:
+        perm = list(range(k))
+        for i in range(k - 1, 0, -1):
+            j = rng.below(i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
+        sub = g_prime.induced(rng.sample_mask(n, k))
+        f = Graph.from_edges(k, [(perm[u], perm[v]) for u, v in sub.edges()])
+    return f, g_prime, g
+
+
+class TestCopyTable:
+    """The copy table gives the edges and witnesses of per-set backtracking."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_table_matches_backtracking(self, seed):
+        rng = SplitMix64(1000 + seed)
+        copies._copy_table.cache_clear()
+        for _ in range(5):
+            f, g_prime, g = random_triple(rng)
+            assert induced_copy_hypergraph(f, g_prime, g) == backtracking_copies(f, g_prime, g)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_pattern_asked_twice(self, seed):
+        # the second host reads the codes the first one filled in
+        rng = SplitMix64(2000 + seed)
+        copies._copy_table.cache_clear()
+        f, g_prime, g = random_triple(rng)
+        other = random_graph(rng, g.n)
+        for host_prime, host in ((g_prime, g), (other, other)):
+            expected = backtracking_copies(f, host_prime, host)
+            assert induced_copy_hypergraph(f, host_prime, host) == expected
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_extension_hypergraph_matches_backtracking(self, seed, monkeypatch):
+        rng = SplitMix64(3000 + seed)
+        cases = []
+        while len(cases) < 5:
+            f, g_prime, g = random_triple(rng)
+            if f.n:
+                cases.append((f, rng.below(f.n), g_prime, g))
+        built = [extension_hypergraph(*case) for case in cases]
+        monkeypatch.setattr(copies, "induced_copy_hypergraph", backtracking_copies)
+        assert built == [extension_hypergraph(*case) for case in cases]
 
 
 class TestIota:

@@ -32,6 +32,11 @@ class TestGraph:
         assert g.edges() == [(0, 1), (1, 3), (2, 3)]
         assert g.edge_count() == 3
 
+    def test_edges_share_one_tuple_per_pair(self):
+        first = Graph.from_edges(4, [(0, 1), (2, 3)]).edges()
+        second = Graph.complete(4).edges()
+        assert first[0] is second[0] and first[1] is second[-1]
+
     def test_rejects_self_loop(self):
         with pytest.raises(InputError):
             Graph.from_edges(3, [(1, 1)])
