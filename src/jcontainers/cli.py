@@ -119,10 +119,6 @@ def emit(payload: dict) -> str:
     return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
 
 
-def _mask_list(mask: int):
-    return sorted(bits_of(mask))
-
-
 @dataclass
 class RunRecord:
     command: list
@@ -265,7 +261,7 @@ def cmd_copies(args):
     for e in copies.hyper.edges:
         phi = copies.witnesses[e]
         prov_lines.append(
-            " ".join(str(v) for v in _mask_list(e))
+            " ".join(str(v) for v in bits_of(e))
             + " -> "
             + " ".join(str(x) for x in phi)
         )
@@ -273,7 +269,7 @@ def cmd_copies(args):
     payload = {
         "n": copies.hyper.n,
         "edge_count": len(copies.hyper.edges),
-        "edges": [_mask_list(e) for e in copies.hyper.edges],
+        "edges": [bits_of(e) for e in copies.hyper.edges],
     }
     return EXIT_OK, emit(payload), {"copies.hg": hg_text, "copies.prov": prov_text}
 
@@ -287,7 +283,7 @@ def cmd_hardcover(args):
         paper_literal=args.paper_literal,
     )
     payload = {
-        "fingerprints": [_mask_list(t) for t in family.fingerprints],
+        "fingerprints": [bits_of(t) for t in family.fingerprints],
         "cover_sizes": {str(t): len(family.covers[t]) for t in family.fingerprints},
         "independent_sets": len(family.phi),
         "violations": family.violations,
@@ -323,7 +319,7 @@ def cmd_containers(args):
         eta=_parse_rational(args.eta) if args.eta else None,
         strict=not args.no_strict,
     )
-    certified = {"certified_minimal_sets": [_mask_list(m) for m in family.certified_minimals]}
+    certified = {"certified_minimal_sets": [bits_of(m) for m in family.certified_minimals]}
     return _pipeline_result(family, certified)
 
 
@@ -343,7 +339,7 @@ def cmd_extend_containers(args):
         r_colours=args.r,
         strict=not args.no_strict,
     )
-    trimmed = {"trimmed": {str(x): _mask_list(y) for x, y in family.shrunk.items()}}
+    trimmed = {"trimmed": {str(x): bits_of(y) for x, y in family.shrunk.items()}}
     return _pipeline_result(family, trimmed)
 
 
@@ -351,7 +347,7 @@ def _pipeline_result(family, extra: dict):
     """Exit code and payload of a container pipeline run; ``extra`` holds
     the pipeline's own keys."""
     payload = {
-        "containers": [_mask_list(x) for x in family.containers],
+        "containers": [bits_of(x) for x in family.containers],
         "violations": family.violations,
         "incomplete": family.incomplete,
         "size_bound_ok": family.size_bound_ok,

@@ -203,43 +203,18 @@ def _context_for(
     return _ZetaContext(table, [table[0] * u**k // v**k for k in range(n + 1)])
 
 
-def _satisfying_table(ctx: _ZetaContext, counts: list[int]) -> list[bool]:
-    """table[mask] is True when P(mask in V_q | independent) is at most
-    ((1-alpha) q)^|mask| -- the fingerprint inequality."""
-    limit = ctx.limit
-    return [t <= limit[k] for t, k in zip(ctx.table, counts)]
-
-
-def fingerprint_in_table(sat: list[bool], i_mask: int) -> int:
-    """A maximum-cardinality subset of I satisfying the fingerprint
-    inequality (ties broken by the first hit in descending submask order).
+def _fingerprint_table(sat: list[bool], n: int, counts: list[int]) -> list[int]:
+    """fp[mask] for every mask, in one pass: a maximum-cardinality submask
+    of mask where ``sat`` holds, ties going to the numerically largest.
 
     Maximum cardinality forces inclusion-maximality, which is what the
     cover argument needs: a single-vertex greedy can stall below a larger
     satisfying superset reachable only by adding two vertices at once, and
-    then the independent set meets its own cover.  The empty set always
-    satisfies the inequality, so a fingerprint always exists."""
-    best = 0
-    best_size = 0
-    sub = i_mask
-    while True:
-        if sat[sub]:
-            size = popcount(sub)
-            if size > best_size:
-                best, best_size = sub, size
-        if sub == 0:
-            return best
-        sub = (sub - 1) & i_mask
-
-
-def _fingerprint_table(sat: list[bool], n: int, counts: list[int]) -> list[int]:
-    """fp[mask] = fingerprint_in_table(sat, mask) for every mask, in one pass.
-
-    Each satisfying S carries the key (|S| << n) | S; folding keys up to
-    supersets with max leaves every mask the largest key among its
-    satisfying submasks: one of maximum cardinality, ties going to the
-    numerically largest, which is the submask that fingerprint_in_table
-    meets first in descending order."""
+    then the independent set meets its own cover.  Each satisfying S
+    carries the key (|S| << n) | S; folding keys up to supersets with max
+    leaves every mask the largest key among its satisfying submasks.  The
+    empty set always satisfies the inequality, so a fingerprint always
+    exists."""
     keys = [(k << n) | m if s else 0 for m, (s, k) in enumerate(zip(sat, counts))]
     _fold_pairs(keys, n, _larger, into_subset=False)
     low = (1 << n) - 1
@@ -247,17 +222,16 @@ def _fingerprint_table(sat: list[bool], n: int, counts: list[int]) -> list[int]:
 
 
 def fingerprint(h: Hypergraph, i_mask: int, q, alpha) -> int:
-    """Fingerprint of an independent set of h (see fingerprint_in_table)."""
+    """Fingerprint of an independent set of h, read from the family's
+    one-pass table (see :func:`_fingerprint_table`)."""
     q = as_fraction(q, "q")
     alpha = as_fraction(alpha, "alpha")
     if not 0 < q <= alpha < 1:
         raise InputError("parameters must satisfy 0 < q <= alpha < 1")
     if not is_independent(h, i_mask):
         raise InputError("fingerprints are defined for independent sets only")
-    counts = _popcounts(h.n)
     independent = [not c for c in containment_table(h.n, h.edges)]
-    ctx = _context_for(h.n, independent, 0, q, (1 - alpha) * q, counts)
-    return fingerprint_in_table(_satisfying_table(ctx, counts), i_mask)
+    return _hardcover_core(h.n, independent, q, alpha, False)[0].phi[i_mask]
 
 
 def in_cover(h: Hypergraph, l_mask: int, t_mask: int, q, alpha) -> bool:
@@ -286,9 +260,6 @@ class HardcoverFamily:
     covers: dict  # T mask -> tuple of cover member masks (sorted)
     violations: list = field(default_factory=list)
     strict_checked: int = 0
-
-    def cover_hypergraph(self, t_mask: int) -> Hypergraph:
-        return Hypergraph(self.n, self.covers[t_mask])
 
 
 def hardcover_family(
@@ -374,10 +345,12 @@ def _hardcover_core(
     if base_ctx.table[0] == 0:
         # no independent sets at all (the empty edge is present)
         return HardcoverFamily(n, paper_literal, (), {}, {}), {}
-    # every submask of an independent set is independent, so dependent
-    # masks (satisfying vacuously, at probability 0) can drop out
-    sat = _satisfying_table(base_ctx, counts)
-    fp = _fingerprint_table([s and i for s, i in zip(sat, independent)], n, counts)
+    # P(S in V_q | independent) <= ((1-alpha) q)^|S|, the fingerprint
+    # inequality; every submask of an independent set is independent, so
+    # dependent masks (satisfying vacuously, at probability 0) can drop out
+    limit = base_ctx.limit
+    sat = [i and t <= limit[k] for i, t, k in zip(independent, base_ctx.table, counts)]
+    fp = _fingerprint_table(sat, n, counts)
     phi = {i_mask: fp[i_mask] for i_mask in range(size) if independent[i_mask]}
     fingerprints = tuple(sorted(set(phi.values())))
     lo = 1 if not paper_literal else 0
@@ -429,13 +402,13 @@ def cover_certificate(target: Hypergraph, cover: Hypergraph, p) -> CoverCertific
     for e in cover.edges:
         if popcount(e) < 2:
             raise InputError(
-                f"cover edge {sorted(bits_of(e))} has size below 2"
+                f"cover edge {bits_of(e)} has size below 2"
             )
     members = cover.edges
     for e in target.edges:
         if not any(a & ~e == 0 for a in members):
             raise InputError(
-                f"target edge {sorted(bits_of(e))} contains no cover member"
+                f"target edge {bits_of(e)} contains no cover member"
             )
     return CoverCertificate(target, cover, p, p_weight(cover, p))
 
@@ -553,7 +526,7 @@ def _container_core(n: int, is_good, q_hc: Fraction, s: int, p, what: str) -> di
     violations = []
     containers = set()
     for t_mask in fam_hc.fingerprints:
-        slice_h = upset_slice(fam_hc.cover_hypergraph(t_mask), s)
+        slice_h = upset_slice(Hypergraph(n, fam_hc.covers[t_mask]), s)
         oracle = uniform_container_oracle(slice_h, p)
         incomplete.extend(f"T={t_mask:b}: {msg}" for msg in oracle.incomplete)
         containers.update(oracle.psi.values())

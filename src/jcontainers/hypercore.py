@@ -28,6 +28,7 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 def bits_of(mask: int) -> list[int]:
+    """The vertices of a mask, ascending."""
     out = []
     while mask:
         low = mask & -mask
@@ -181,7 +182,7 @@ class Hypergraph:
             if e & ~full:
                 raise InputError("edge contains a vertex outside the universe")
             if e in seen:
-                raise InputError(f"duplicate edge {sorted(bits_of(e))}")
+                raise InputError(f"duplicate edge {bits_of(e)}")
             seen.add(e)
 
     @staticmethod

@@ -18,10 +18,12 @@ for small edge counts and rational p an exact rational KKT enumeration over
 support patterns.  Every verdict comes from one rule on a mass-one point x
 (:func:`_decide`): YES when R lambda_p(x) clears 1, NO when R times the dual
 bound 2 min_j (Qx)_j - x^T Q x, which lies below the minimum by convexity,
-reaches 1; both values come from one pass over x (:func:`_evaluate`).  The
-yes/no queries of :func:`require_verdict` first put an exact copy of a
-short Frank-Wolfe run's point to it, and enumerate only when 1/R lies
-between the two.
+reaches 1; both values come from one pass over x (:func:`_evaluate`, over
+:func:`measures.overlap_sums`).  The yes/no queries of
+:func:`require_verdict` climb a ladder: an exact copy of a short
+Frank-Wolfe run's point goes to that rule; if 1/R lies between its two
+values, R >= sum_i 1/Q_ii is a closed-form NO (:func:`_diagonal_no`); only
+then does :func:`is_janson` solve.
 
 Queries that need no solve are settled first (:func:`_settled`): an edge of
 size <= 1 (including the empty edge) absorbs all mass with lambda = 0, so R*
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
@@ -46,6 +49,7 @@ from .measures import (
     degree,
     lambda_p,
     mass,
+    overlap_sums,
     pair_coefficient,
     scale,
 )
@@ -250,28 +254,13 @@ def min_lambda_fw(h: Hypergraph, p: float, tol: float = DEFAULT_TOL) -> MinLambd
 def _evaluate(x: Measure, p):
     """(lambda_p(x), dual bound at x) from one pass over the support of x.
 
-    The pass forms (Qx)_j = sum_i coef[|E_j & E_i|] x_i over the support,
-    skipping the pairs that share fewer than two vertices (their coefficient
-    is 0).  Then lambda_p(x) = sum_j x_j (Qx)_j, and by convexity the
-    simplex minimum is at least lambda_p(x) - 2 (lambda_p(x) - min_j (Qx)_j),
-    the gap clamped at 0 so that a floating bound never exceeds lambda_p(x).
+    The pass is :func:`measures.overlap_sums`, giving (Qx)_j for every edge.
+    Then lambda_p(x) = sum_j x_j (Qx)_j, and by convexity the simplex
+    minimum is at least lambda_p(x) - 2 (lambda_p(x) - min_j (Qx)_j), the
+    gap clamped at 0 so that a floating bound never exceeds lambda_p(x).
     On an exact measure with rational p both values are exact."""
-    exact = x.exact
-    if not exact:
-        p = float(p)
-    zero = Fraction(0) if exact else 0.0
-    edges = x.host.edges
-    support = [(edges[i], x.weights[i]) for i in x.support()]
-    top = max((popcount(e) for e in edges), default=0)
-    coef = [pair_coefficient(c, p, exact) for c in range(top + 1)]
-    qx = []
-    for e in edges:
-        acc = zero
-        for f, w in support:
-            c = (e & f).bit_count()
-            if c >= 2:
-                acc += coef[c] * w
-        qx.append(acc)
+    zero = Fraction(0) if x.exact else 0.0
+    qx = overlap_sums(x, p)
     lam = sum((w * qj for w, qj in zip(x.weights, qx) if w), zero)
     return lam, lam - max(2 * (lam - min(qx)), zero)
 
@@ -316,9 +305,8 @@ def min_lambda(h: Hypergraph, p, tol: float = DEFAULT_TOL) -> MinLambdaResult:
         raise InputError("minimum needs at least one edge")
     if settled == "YES":
         rational = isinstance(p, (Fraction, int))
-        trivial = next(i for i, e in enumerate(h.edges) if popcount(e) <= 1)
         zero = Fraction(0) if rational else 0.0
-        return MinLambdaResult(zero, Measure.unit_on(h, trivial, rational), zero, 0, rational)
+        return MinLambdaResult(zero, _unit_witness(h, rational), zero, 0, rational)
 
     edges, key, exact = _query(h, p, tol)
     hit = _cache.get(key)
@@ -365,6 +353,29 @@ def _settled(h: Hypergraph, p, r) -> Optional[str]:
     return None
 
 
+def _unit_witness(h: Hypergraph, exact: bool) -> Measure:
+    """Unit mass on the first edge of size <= 1, where lambda_p vanishes:
+    the witness of a query that :func:`_settled` answers YES for R > 0."""
+    return Measure.unit_on(h, next(i for i, e in enumerate(h.edges) if popcount(e) <= 1), exact)
+
+
+def _diagonal_no(h: Hypergraph, p, r) -> bool:
+    """True when R >= sum_i 1/Q_ii, a certified NO needing no point.
+
+    No overlap coefficient is negative, so lambda_p(x) >= sum_i Q_ii x_i^2,
+    at least 1 / sum_i (1/Q_ii) on the simplex by Cauchy-Schwarz (equal
+    when no two edges share two vertices).  Q_ii > 0 once :func:`_settled`
+    has ruled out edges of size <= 1; it is taken once per edge size.
+    Unless p and R are rational, R must clear the sum by a relative margin
+    of DEFAULT_TOL, which covers the rounding of a float sum."""
+    exact = isinstance(p, (Fraction, int))
+    sizes = Counter(popcount(e) for e in h.edges)
+    inverse = sum(k / pair_coefficient(c, p, exact) for c, k in sizes.items())
+    if exact and isinstance(r, (Fraction, int)):
+        return r >= inverse
+    return r >= (1 + DEFAULT_TOL) * inverse
+
+
 def _decide(x: Measure, p, r):
     """The one YES/NO rule, on a mass-one point x: (answer, dual bound at
     x), both read off one :func:`_evaluate` pass.
@@ -403,10 +414,9 @@ def is_janson(h: Hypergraph, p, r) -> JansonVerdict:
         if settled == "NO":
             note = "no edges: no measure has positive mass"
             return JansonVerdict("NO", r_star, None, INF, 0, 0, tol, True, note)
-        idx = next(i for i, e in enumerate(h.edges) if popcount(e) <= 1)
         exact = isinstance(p, (Fraction, int)) and isinstance(r, (Fraction, int))
-        witness = Measure.unit_on(h, idx, exact)
         note = "unit mass on a size-<=1 edge has zero overlap"
+        witness = _unit_witness(h, exact)
         return JansonVerdict("YES", r_star, witness, None, 0, 0, tol, exact, note)
     result = min_lambda(h, p)
     value, exact = result.value, result.exact
@@ -430,14 +440,17 @@ def require_verdict(h: Hypergraph, p, r, context: str = "") -> bool:
     """True/False for YES/NO; UNDECIDED aborts with the offending instance.
 
     Queries that need no solve are settled by :func:`_settled`.  Exact
-    queries are then put to :func:`_bracket_verdict`; only those its
-    bracket cannot decide go through :func:`is_janson`."""
+    queries are then put to :func:`_bracket_verdict`; what its bracket
+    cannot decide meets the closed-form NO of :func:`_diagonal_no`, and only
+    what that leaves goes through :func:`is_janson`."""
     settled = _settled(h, p, r)
     if settled is not None:
         return settled == "YES"
     decided = _bracket_verdict(h, p, r)
     if decided is not None:
         return decided
+    if _diagonal_no(h, p, r):
+        return False
     verdict = is_janson(h, p, r)
     if verdict.answer == "UNDECIDED":
         raise UndecidedError(

@@ -11,18 +11,19 @@ The central quantity is the overlap functional
 
 where d(L) is the total weight of edges containing L.  Only L inside some
 positive-weight edge contribute, so the sum is computed sparsely.  Two
-independent algorithms are exposed: subset accumulation (enumerate submasks
-of each edge into an accumulator) and a pairwise closed form,
+independent algorithms are exposed: subset accumulation (A: enumerate
+submasks of each edge into an accumulator) and a pairwise closed form (B),
 
     sum over edge pairs of  w1 * w2 * ((1 + 1/p)^c - 1 - c/p),  c = |E1 & E2|,
 
 which agree because summing p^(-|L|) over the subsets L of an intersection of
-size c with |L| >= 2 telescopes out of the binomial theorem.
+size c with |L| >= 2 telescopes out of the binomial theorem.  B sums
+x_j (Qx)_j over :func:`overlap_sums`, the pass from which every Janson
+decision reads lambda_p and its dual bound, so A re-checks that pass.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -161,22 +162,36 @@ def pair_coefficient(c: int, p, exact: bool):
     return q**c - 1.0 - c / p
 
 
-def lambda_p_pairwise(m: Measure, p):
-    """Algorithm B: closed form over edge pairs; no edge-size cap."""
-    _check_probability(p, m.exact)
-    idx = m.support()
-    coef = functools.cache(lambda c: pair_coefficient(c, p, m.exact))
-    total = Fraction(0) if m.exact else 0.0
-    for a in range(len(idx)):
-        i = idx[a]
-        ei, wi = m.host.edges[i], m.weights[i]
-        total += wi * wi * coef(popcount(ei))
-        for b in range(a + 1, len(idx)):
-            j = idx[b]
-            c = popcount(ei & m.host.edges[j])
+def overlap_sums(m: Measure, p) -> list:
+    """(Qx)_j = sum_i pair_coefficient(|E_j & E_i|, p) x_i for every host
+    edge E_j, x the weights of m, from one pass over the support of m,
+    skipping pairs that share fewer than two vertices (coefficient 0).  A
+    floating measure takes p as a float."""
+    exact = m.exact
+    if not exact:
+        p = float(p)
+    zero = Fraction(0) if exact else 0.0
+    edges = m.host.edges
+    support = [(edges[i], m.weights[i]) for i in m.support()]
+    top = max((popcount(e) for e in edges), default=0)
+    coef = [pair_coefficient(c, p, exact) for c in range(top + 1)]
+    qx = []
+    for e in edges:
+        acc = zero
+        for f, w in support:
+            c = (e & f).bit_count()
             if c >= 2:
-                total += 2 * wi * m.weights[j] * coef(c)
-    return total
+                acc += coef[c] * w
+        qx.append(acc)
+    return qx
+
+
+def lambda_p_pairwise(m: Measure, p):
+    """Algorithm B: the closed form over edge pairs, sum_j x_j (Qx)_j over
+    :func:`overlap_sums`; no edge-size cap."""
+    _check_probability(p, m.exact)
+    qx = overlap_sums(m, p)
+    return sum((w * qj for w, qj in zip(m.weights, qx) if w), Fraction(0) if m.exact else 0.0)
 
 
 def lambda_p(m: Measure, p):
@@ -231,7 +246,7 @@ def reweight_restrict(m: Measure, a_mask: int, probs: Sequence | Callable) -> Me
             continue
         if pe == 0:
             raise CertificateViolation(
-                f"edge {sorted(bits_of(e))} survives with weight {w} but P(E) = 0"
+                f"edge {bits_of(e)} survives with weight {w} but P(E) = 0"
             )
         ws.append(w / pe)
     return Measure(m.host, tuple(ws), m.exact)

@@ -291,7 +291,7 @@ def check_event_bad_prime(
     if found is not None:
         s_mask, _, coloring = found
         report.holds = True
-        report.witness = {"S": sorted(bits_of(s_mask)), "coloring": dict(coloring.assignment)}
+        report.witness = {"S": bits_of(s_mask), "coloring": dict(coloring.assignment)}
     return report
 
 
@@ -370,7 +370,7 @@ def check_event_inductive(
         report.witness = {
             "t_prime": sum(f.n for f in patterns),
             "patterns": [f.edges() for f in patterns],
-            "W": sorted(bits_of(w_mask)),
+            "W": bits_of(w_mask),
             "coloring": dict(coloring.assignment),
         }
     return report

@@ -8,9 +8,9 @@ change allowed to move witnesses on degenerate faces re-records only the
 witness digest.  Arrows pins outcomes only: the search's node counts and
 the colouring it returns belong to ``TestSearchPinned``.
 
-The digests were recorded before the overlap pass, the fingerprint rule and
-the diagonal bound were each reduced to one implementation; any change to a
-result shows up here."""
+The digests were recorded before the overlap pass and the fingerprint rule
+were each reduced to one implementation and before require_verdict gained
+its diagonal bound; any change to a result shows up here."""
 
 import hashlib
 import itertools
@@ -46,11 +46,10 @@ def _hypergraph(rng, n, m, sizes):
     return Hypergraph(n, tuple(sorted(edges)))
 
 
-def _graph(rng, n, density=2):
-    """A seeded graph on n vertices, each pair joined with probability
-    density/4."""
+def _graph(rng, n):
+    """A seeded graph on n vertices, each pair joined with probability 1/2."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return Graph.from_edges(n, [e for e in pairs if rng.below(4) < density])
+    return Graph.from_edges(n, [e for e in pairs if rng.below(4) < 2])
 
 
 def janson_family():

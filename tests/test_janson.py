@@ -511,19 +511,22 @@ class TestRequireVerdict:
             assert want is False
 
     def test_threshold_falls_through_to_the_enumeration(self, monkeypatch):
-        # the triangle's optimum 1/3 is off the dyadic grid, so the bracket
-        # straddles R* and is_janson's enumeration answers
-        tri = Hypergraph.from_vertex_lists(3, [[0, 1], [0, 2], [1, 2]])
+        # the optimum (1/3 on each edge) is off the dyadic grid, so the
+        # bracket straddles R* = 3/28; the edges share pairs, so the diagonal
+        # bound sum 1/Q_ii = 3/20 lies above R* and cannot answer, and
+        # is_janson's enumeration does
+        h = Hypergraph.from_vertex_lists(4, [[0, 1, 2], [0, 1, 3], [0, 2, 3]])
         p = F(1, 2)
-        r_star = janson_threshold(tri, p)
+        r_star = janson_threshold(h, p)
+        assert r_star == F(3, 28)
         clear_cache()
         calls = []
         original = janson.is_janson
         monkeypatch.setattr(janson, "is_janson", lambda *a: calls.append(a) or original(*a))
-        assert require_verdict(tri, p, r_star) is False
+        assert require_verdict(h, p, r_star) is False
         assert len(calls) == 1
         clear_cache()
-        assert require_verdict(tri, p, r_star * (1 - F(1, 10**6))) is True
+        assert require_verdict(h, p, r_star * (1 - F(1, 10**6))) is True
         assert len(calls) == 1
 
     @pytest.mark.parametrize("edges", [(0,), (1,), (0b110, 0b1), (0b11, 0b110, 0b1000, 0b1100)])
@@ -590,6 +593,28 @@ class TestRequireVerdict:
                 is_janson(h, p, r)
             with pytest.raises(InputError):
                 require_verdict(h, p, r)
+
+    @given(
+        hypergraphs(min_n=3, max_n=7, max_edges=8, min_edge_size=2).filter(lambda h: h.edges),
+        st.sampled_from([F(1), F(2, 3), F(1, 2), F(1, 5), 1.0, 0.5, 0.3]),
+        st.sampled_from([F(1, 2), 1 - F(1, 10**9), F(1), 1 + F(1, 10**9), 1 + F(1, 10**6), F(2)]),
+    )
+    @example(disjoint_edges(3), F(1, 2), F(1))
+    @example(disjoint_edges(3), 0.5, 1 + F(1, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_diagonal_no_implies_is_janson_no(self, h, p, factor):
+        # R placed around the bound sum_i 1/Q_ii; it equals R* exactly when
+        # no two edges share two vertices
+        exact = isinstance(p, F)
+        bound = sum(1 / closed_form(e.bit_count(), p) for e in h.edges)
+        r = bound * factor if exact else float(bound * factor)
+        clear_cache()
+        if janson._diagonal_no(h, p, r):
+            assert is_janson(h, p, r).answer == "NO"
+        diagonal = all((a & b).bit_count() < 2 for a, b in itertools.combinations(h.edges, 2))
+        if exact and diagonal and len(h.edges) <= janson.KKT_EDGE_CAP:
+            assert janson_threshold(h, p) == bound
+            assert janson._diagonal_no(h, p, r) == (factor >= 1)
 
     def test_brackets_are_memoised_until_clear_cache(self):
         h = disjoint_edges(3)
