@@ -34,7 +34,7 @@ def main(seed: int, m: int) -> int:
     if base.edges:
         s = base.uniformity()
         p = q / ((1 << 10) * s * s)
-        fam = non_janson_containers(base.sorted_edges(), p, q, p * base.n / 64)
+        fam = non_janson_containers(base, p, q, p * base.n / 64)
         print(f"flat pipeline: {len(fam.containers)} containers, "
               f"{len(fam.certified_minimals)} minimal certified sets, "
               f"violations={len(fam.violations)} incomplete={len(fam.incomplete)}")

@@ -58,22 +58,37 @@ def _vertex(token: str, lineno: int, n: int) -> int:
     return v
 
 
-def parse_graph(text: str) -> Graph:
-    lines = list(meaningful_lines(text))
-    if not lines:
-        raise InputError("empty graph file")
-    lineno, header = lines[0]
+def _edge_lines(text: str, kind: str, usage: str, arity=None):
+    """The vertex count from the ``<kind> <n>`` header, read at once, and a
+    lazy stream of (line number, vertex tokens, vertices) for the edge lines
+    after it, each shaped as ``usage`` (its first word is the tag; ``arity``
+    vertices when given), so that errors come out in line order."""
+    lines = meaningful_lines(text)
+    first = next(lines, None)
+    if first is None:
+        raise InputError(f"empty {kind} file")
+    lineno, header = first
     parts = header.split()
-    if len(parts) != 2 or parts[0] != "graph":
-        raise InputError(f"line {lineno}: expected 'graph <n>'")
+    if len(parts) != 2 or parts[0] != kind:
+        raise InputError(f"line {lineno}: expected '{kind} <n>'")
     n = _vertex_count(parts[1], lineno)
+    tag = usage.split()[0]
+
+    def edge_lines():
+        for lineno, line in lines:
+            head, *tokens = line.split()
+            if head != tag or (arity is not None and len(tokens) != arity):
+                raise InputError(f"line {lineno}: expected '{usage}'")
+            yield lineno, tokens, [_vertex(t, lineno, n) for t in tokens]
+
+    return n, edge_lines()
+
+
+def parse_graph(text: str) -> Graph:
+    n, lines = _edge_lines(text, "graph", "e <u> <v>", arity=2)
     edges = []
     seen = set()
-    for lineno, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "e":
-            raise InputError(f"line {lineno}: expected 'e <u> <v>'")
-        u, v = _vertex(parts[1], lineno, n), _vertex(parts[2], lineno, n)
+    for lineno, _, (u, v) in lines:
         if not u < v:
             raise InputError(f"line {lineno}: edges must satisfy u < v")
         if (u, v) in seen:
@@ -90,26 +105,15 @@ def write_graph(g: Graph) -> str:
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
-    lines = list(meaningful_lines(text))
-    if not lines:
-        raise InputError("empty hypergraph file")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "hypergraph":
-        raise InputError(f"line {lineno}: expected 'hypergraph <n>'")
-    n = _vertex_count(parts[1], lineno)
+    n, lines = _edge_lines(text, "hypergraph", "E <v1> ... <vk>")
     edges = []
     seen = set()
-    for lineno, line in lines[1:]:
-        parts = line.split()
-        if not parts or parts[0] != "E":
-            raise InputError(f"line {lineno}: expected 'E <v1> ... <vk>'")
-        verts = [_vertex(p, lineno, n) for p in parts[1:]]
+    for lineno, tokens, verts in lines:
         if any(a >= b for a, b in zip(verts, verts[1:])):
             raise InputError(f"line {lineno}: vertices must be strictly increasing")
         edge = mask_of(verts)
         if edge in seen:
-            raise InputError(f"line {lineno}: duplicate edge {' '.join(parts[1:])}")
+            raise InputError(f"line {lineno}: duplicate edge {' '.join(tokens)}")
         seen.add(edge)
         edges.append(edge)
     return Hypergraph(n, tuple(edges))

@@ -196,9 +196,6 @@ class Hypergraph:
             return sizes.pop()
         return None
 
-    def sorted_edges(self) -> "Hypergraph":
-        return Hypergraph(self.n, tuple(sorted(self.edges)))
-
 
 def restrict_edges(h: Hypergraph, w_mask: int) -> Hypergraph:
     """Edges contained in W, keeping the original universe and labels."""

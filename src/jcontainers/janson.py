@@ -42,7 +42,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import BudgetError, InputError, UndecidedError
-from .hypercore import Hypergraph, bits_of, popcount, restrict_edges
+from .hypercore import Hypergraph, bits_of, mask_of, popcount, restrict_edges
 from .measures import (
     Measure,
     add,
@@ -541,24 +541,17 @@ def bounded_degree_witness(
     nverts = h.n
     w_size = math.ceil((1 - beta) * nverts)
 
-    total = math.comb(nverts, w_size)
-    if total <= PRECONDITION_BUDGET:
-        subsets = itertools.combinations(range(nverts), w_size)
+    if math.comb(nverts, w_size) <= PRECONDITION_BUDGET:
+        w_masks = map(mask_of, itertools.combinations(range(nverts), w_size))
     else:
         rng = SplitMix64(seed)
-        subsets = (
-            tuple(bits_of(rng.sample_mask(nverts, w_size)))
-            for _ in range(PRECONDITION_BUDGET)
-        )
-    for combo in subsets:
-        w_mask = 0
-        for v in combo:
-            w_mask |= 1 << v
+        w_masks = (rng.sample_mask(nverts, w_size) for _ in range(PRECONDITION_BUDGET))
+    for w_mask in w_masks:
         sub = restrict_edges(h, w_mask)
         verdict = is_janson(sub, p, r)
         if verdict.answer != "YES":
             raise HypothesisViolation(
-                f"induced sub-hypergraph on {sorted(combo)} is not certified (p, R)-Janson "
+                f"induced sub-hypergraph on {bits_of(w_mask)} is not certified (p, R)-Janson "
                 f"(verdict {verdict.answer})",
                 w_mask=w_mask,
                 verdict=verdict,
@@ -567,15 +560,12 @@ def bounded_degree_witness(
     nu = _witness_mass_one(h, p, r, "initial witness").to_float()
     target = 2.0 * s * s / (beta * nverts)  # mass-one form of the bound
     tau = min(1.0, 1.0 / (beta * nverts)) / 2.0
+    cutoff = s / (beta * nverts)
     for _ in range(WITNESS_MAX_ROUNDS):
-        dsq = sum(float(degree(nu, 1 << v)) ** 2 for v in range(nverts))
-        if dsq <= target:
+        degrees = [float(degree(nu, 1 << v)) for v in range(nverts)]
+        if sum(d**2 for d in degrees) <= target:
             break
-        cutoff = s / (beta * nverts)
-        w_mask = 0
-        for v in range(nverts):
-            if float(degree(nu, 1 << v)) <= cutoff:
-                w_mask |= 1 << v
+        w_mask = mask_of(v for v, d in enumerate(degrees) if d <= cutoff)
         sub = restrict_edges(h, w_mask)
         if not sub.edges:
             raise HypothesisViolation(

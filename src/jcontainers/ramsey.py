@@ -26,6 +26,8 @@ from .prng import SplitMix64
 PATTERN_SPACE_CAP = 1 << 20  # pattern tuples event E may enumerate before sampling
 PATTERN_BUDGET = 200  # pattern tuples event E sweeps; beyond it they are sampled
 SUBSET_SPACE_CAP = 1 << 20  # vertex sets event B' or E may list before sampling
+BUDGET_COLORINGS = 1 << 20  # colourings an event sweeps per window before sampling
+BUDGET_SUBSETS = 1 << 16  # vertex sets event B' or E sweeps before sampling
 
 
 @dataclass
@@ -40,8 +42,8 @@ class ExperimentConfig:
     m: int = 8
     seed: Optional[int] = None
     trials: int = 100
-    budget_colorings: int = 1 << 20
-    budget_subsets: int = 1 << 16
+    budget_colorings: int = BUDGET_COLORINGS
+    budget_subsets: int = BUDGET_SUBSETS
     delta: Optional[float] = None
     p: Optional[Fraction] = None
     usize: int = 8
@@ -243,7 +245,7 @@ def check_event_bad(
     g: Graph,
     targets: Sequence[Graph],
     p,
-    budget_colorings: int = 1 << 20,
+    budget_colorings: int = BUDGET_COLORINGS,
     seed: int = 0,
 ) -> EventReport:
     """Does some colouring leave every colour's copy hypergraph without a
@@ -265,8 +267,8 @@ def check_event_bad_prime(
     targets: Sequence[Graph],
     p,
     delta: float,
-    budget_colorings: int = 1 << 20,
-    budget_subsets: int = 1 << 16,
+    budget_colorings: int = BUDGET_COLORINGS,
+    budget_subsets: int = BUDGET_SUBSETS,
     seed: int = 0,
 ) -> EventReport:
     """Does some vertex set S of proportional size carry a colouring of
@@ -312,8 +314,8 @@ def check_event_inductive(
     sizes: Sequence[int],
     p,
     delta: float,
-    budget_colorings: int = 1 << 14,
-    budget_subsets: int = 1 << 12,
+    budget_colorings: int = BUDGET_COLORINGS,
+    budget_subsets: int = BUDGET_SUBSETS,
     seed: int = 0,
 ) -> EventReport:
     """The inductive hypothesis event: for every smaller total pattern size,
@@ -322,8 +324,8 @@ def check_event_inductive(
 
     The pattern tuples are combinatorially huge even here, so beyond
     ``PATTERN_BUDGET`` they are sampled and the report drops its exhaustive
-    flag.  The space they are drawn from, every tuple of labelled graphs
-    with 1..s_i vertices, is enumerated in full first; above
+    flag and notes why.  The space they are drawn from, every tuple of
+    labelled graphs with 1..s_i vertices, is enumerated in full first; above
     ``PATTERN_SPACE_CAP`` tuples that is a BudgetError.  So is a list of
     large W above ``SUBSET_SPACE_CAP`` sets; each size floor is listed once."""
     p = as_fraction(p, "p")
@@ -339,16 +341,18 @@ def check_event_inductive(
     report = EventReport("E", holds=True)
     pattern_pool = {si: _graphs_up_to(si) for si in sorted(set(sizes))}
 
-    # one pass over the product, grouped by total size (each pattern has at
-    # least one vertex, so every total is at least r) and joined in t' order
-    by_size = {t_prime: [] for t_prime in range(r, t)}
-    for combo in itertools.product(*(pattern_pool[si] for si in sizes)):
-        group = by_size.get(sum(f.n for f in combo))
-        if group is not None:
-            group.append(combo)
-    tuples = [(t_prime, combo) for t_prime, group in by_size.items() for combo in group]
+    # the tuples of every smaller total size, in t' order, product order within
+    tuples = sorted(
+        (
+            (total, combo)
+            for combo in itertools.product(*(pattern_pool[si] for si in sizes))
+            if (total := sum(f.n for f in combo)) < t
+        ),
+        key=lambda tc: tc[0],
+    )
     if len(tuples) > PATTERN_BUDGET:
         report.exhaustive = False
+        report.notes.append("pattern tuples sampled beyond the budget")
         idx = sorted(rng.below(len(tuples)) for _ in range(PATTERN_BUDGET))
         tuples = [tuples[i] for i in idx]
     subsets = {}  # floor -> the large W, listed when the sweep first needs them

@@ -71,6 +71,30 @@ class TestFileFormats:
         with pytest.raises(InputError, match="line 3: duplicate edge"):
             parse(text)
 
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (fileio.parse_graph, "# only\n\n", "empty graph file"),
+            (fileio.parse_graph, "hypergraph 3\n", "line 1: expected 'graph <n>'"),
+            (fileio.parse_graph, "graph 3\nE 0 1\n", "line 2: expected 'e <u> <v>'"),
+            (fileio.parse_graph, "graph 3\ne 0 1 2\n", "line 2: expected 'e <u> <v>'"),
+            (fileio.parse_graph, "graph 3\ne 2 1\n", "line 2: edges must satisfy u < v"),
+            (fileio.parse_graph, "graph 3\ne 0 1\n# c\ne 00 +1\n", "line 4: duplicate edge 0 1"),
+            (fileio.parse_hypergraph, "", "empty hypergraph file"),
+            (fileio.parse_hypergraph, "hypergraph 3 4\n", "line 1: expected 'hypergraph <n>'"),
+            (fileio.parse_hypergraph, "hypergraph 3\ne 0 1\n", "line 2: expected 'E <v1> ... <vk>'"),
+            (fileio.parse_hypergraph, "hypergraph 3\nE 1 1\n", "line 2: vertices must be strictly increasing"),
+            (fileio.parse_hypergraph, "hypergraph 3\nE 0 1\n\nE 00 +1\n", "line 4: duplicate edge 00 +1"),
+            (fileio.parse_hypergraph, "hypergraph 3\nE 0 9\nE 2 1\n", "line 2: vertex 9 outside [0, 3)"),
+        ],
+    )
+    def test_parse_error_messages(self, parse, text, message):
+        # the graph parser prints a duplicate's parsed vertices, the
+        # hypergraph parser its raw tokens
+        with pytest.raises(InputError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
     def test_named_graphs(self):
         assert _graph("K4", "G") == Graph.complete(4)
         assert _graph("P3", "G") == Graph.path(3)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from jcontainers import janson
 from jcontainers.errors import InputError
-from jcontainers.hypercore import Hypergraph, mask_of, restrict_edges
+from jcontainers.hypercore import Hypergraph, bits_of, mask_of, restrict_edges
 from jcontainers.janson import (
     HypothesisViolation,
     aggregate_witnesses,
@@ -281,6 +281,50 @@ class TestBoundedDegreeWitness:
         with pytest.raises(HypothesisViolation) as exc:
             bounded_degree_witness(h, 0.5, 0.2, 0.5, seed=0)
         assert exc.value.w_mask is not None or exc.value.verdict is not None
+
+    def test_blend_round_restricts_to_low_degree_vertices(self, monkeypatch):
+        # a star on 12 vertices plus a matching of its leaves 2..11: every
+        # 8-set spans an edge.  Started from unit mass on the edge {0, 1}
+        # (d(0) = d(1) = 1, so sum d^2 = 2 > 8 / 4.8), one round blends in
+        # the optimum on the vertices of degree <= 2 / 4.8, the matching.
+        n, r, beta = 12, 0.01, 0.4
+        star = [mask_of((0, v)) for v in range(1, n)]
+        matching = [mask_of((v, v + 1)) for v in range(2, n, 2)]
+        h = Hypergraph(n, tuple(sorted(star + matching)))
+        solved = []
+        witness = janson._witness_mass_one
+
+        def start_on_one_edge(sub, p, r, context):
+            solved.append(context)
+            if context == "initial witness":
+                return Measure.unit_on(sub, 0)
+            return witness(sub, p, r, context)
+
+        monkeypatch.setattr(janson, "_witness_mass_one", start_on_one_edge)
+        mu = bounded_degree_witness(h, 0.5, r, beta, seed=0)
+        assert solved == ["initial witness", "restricted witness"]
+        tau = 1 / (beta * n) / 2
+        expected = [
+            (1 - tau if e == h.edges[0] else tau / 5 if e in matching else 0.0) * math.sqrt(r)
+            for e in h.edges
+        ]
+        assert mu.weights == pytest.approx(expected, rel=1e-12)
+        dsq = sum(float(degree(mu, 1 << v)) ** 2 for v in range(n))
+        assert dsq <= 2 * 4 * mass(mu) ** 2 / (beta * n)
+
+    @pytest.mark.parametrize("budget", [janson.PRECONDITION_BUDGET, 5])
+    def test_violation_lists_the_subset_ascending(self, budget, monkeypatch):
+        # C(8, 4) = 70 subsets: enumerated under the default budget, sampled
+        # under a budget of 5
+        monkeypatch.setattr(janson, "PRECONDITION_BUDGET", budget)
+        h = single_edge(2, n=8)
+        with pytest.raises(HypothesisViolation) as exc:
+            bounded_degree_witness(h, 0.5, 0.2, 0.5, seed=0)
+        verts = bits_of(exc.value.w_mask)
+        assert len(verts) == 4
+        assert str(exc.value).startswith(f"induced sub-hypergraph on {verts} is not certified")
+        if budget > 70:
+            assert verts == [0, 2, 3, 4]  # the first 4-set in lexicographic order without {0, 1}
 
 
 class TestAggregation:

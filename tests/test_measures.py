@@ -101,6 +101,7 @@ class TestLambda:
             lambda_p_subsets(m, 0.5)
         assert lambda_p_pairwise(m, 0.5) > 0  # pairwise has no cap
         assert lambda_p(m, 0.5) == lambda_p_pairwise(m, 0.5)
+        assert lambda_p is lambda_p_pairwise  # algorithm B under both names
 
     @given(measured(), small_p)
     @settings(max_examples=80, deadline=None)

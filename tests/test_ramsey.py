@@ -1,3 +1,5 @@
+import inspect
+import itertools
 import math
 import sys
 import time
@@ -37,6 +39,16 @@ class TestConfig:
     def test_rejects_bad_counts(self):
         with pytest.raises(InputError):
             ExperimentConfig(r=0, k=3)
+
+    @pytest.mark.parametrize(
+        "event", [check_event_bad, check_event_bad_prime, check_event_inductive]
+    )
+    def test_event_budget_defaults_are_the_configs(self, event):
+        cfg = ExperimentConfig()
+        params = inspect.signature(event).parameters
+        assert params["budget_colorings"].default == cfg.budget_colorings
+        if event is not check_event_bad:
+            assert params["budget_subsets"].default == cfg.budget_subsets
 
 
 class TestSampler:
@@ -212,6 +224,33 @@ class TestEvents:
         monkeypatch.setattr(ramsey, "PATTERN_BUDGET", 2)
         sampled = check_event_inductive(Graph.cycle(5), [2, 2], F(1, 4), delta=0.3, seed=3)
         assert sampled.exhaustive is False
+        note = "pattern tuples sampled beyond the budget"
+        assert note not in full.notes
+        assert sampled.notes.count(note) == 1
+
+    @pytest.mark.parametrize(
+        "sizes", [[2, 2], [1, 2], [2, 3], [3, 3], [1, 1, 2], [4, 2], [3, 1, 2]]
+    )
+    def test_inductive_pattern_order_is_grouped_by_total_size(self, sizes, monkeypatch):
+        # reference: one pass over the product, each tuple filed under its
+        # total size, the groups joined in increasing size
+        pool = {si: ramsey._graphs_up_to(si) for si in set(sizes)}
+        by_size = {t: [] for t in range(len(sizes), sum(sizes))}
+        for combo in itertools.product(*(pool[si] for si in sizes)):
+            by_size.get(sum(f.n for f in combo), []).append(combo)
+        expected = [combo for group in by_size.values() for combo in group]
+
+        swept = []
+
+        def record(report, g, windows, p, budget, rng):
+            for _, patterns, _ in windows:
+                if not swept or swept[-1] is not patterns:
+                    swept.append(patterns)
+
+        monkeypatch.setattr(ramsey, "PATTERN_BUDGET", len(expected))
+        monkeypatch.setattr(ramsey, "_sweep", record)
+        check_event_inductive(Graph.empty(2), sizes, F(1, 4), delta=0.3)
+        assert swept == expected
 
     @pytest.mark.parametrize("kind", ["Bprime", "E"])
     def test_subset_space_capped_before_it_is_listed(self, kind):
