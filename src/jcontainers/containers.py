@@ -72,7 +72,7 @@ from .hypercore import (
     restrict_edges,
 )
 from .janson import require_verdict
-from .measures import as_fraction
+from .measures import as_fraction, is_rational
 from .prng import SplitMix64
 
 ZETA_CAP = 16  # the family's transforms allocate 2^n tables; single queries allocate none
@@ -300,11 +300,11 @@ def hardcover_family(
             family.violations.append(
                 f"independent set {i_mask:b} meets its own cover (T = {t_mask:b})"
             )
+    member_sets = {t_mask: set(covers[t_mask]) for t_mask in fingerprints}
     edge_set = set(h.edges)
     for t_mask in fingerprints:
-        member_set = set(covers[t_mask])
         for e in edge_set:
-            if e not in member_set and e != 0:
+            if e not in member_sets[t_mask] and e != 0:
                 family.violations.append(
                     f"edge {e:b} missing from the cover at T = {t_mask:b}"
                 )
@@ -315,7 +315,6 @@ def hardcover_family(
     checked = 0
     if fingerprints:
         ts = list(fingerprints)
-        member_sets = {t: set(covers[t]) for t in ts}
         attempts = 0
         while checked < strict_samples and attempts < 50 * max(1, strict_samples):
             attempts += 1
@@ -386,7 +385,7 @@ class CoverCertificate:
 
 
 def p_weight(cover: Hypergraph, p):
-    exact = isinstance(p, (Fraction, int))
+    exact = is_rational(p)
     total = Fraction(0) if exact else 0.0
     pp = Fraction(p) if exact else float(p)
     for e in cover.edges:
@@ -485,16 +484,6 @@ def upset_slice(h: Hypergraph, s: int) -> Hypergraph:
     return Hypergraph(h.n, tuple(sorted(m for m in members if contains[m])))
 
 
-def _check_size_bound(family: PipelineFamily, q: Fraction, n: int, exponent_factor: int) -> None:
-    """A family of more than 4 (2/q)^(c q n) containers, c = exponent_factor,
-    is a violation.  log(2/q) comes from q's integers, since float(q) may be 0."""
-    log_two_over_q = math.log(2 * q.denominator) - math.log(q.numerator)
-    limit = math.log(4.0) + exponent_factor * float(q) * n * log_two_over_q
-    family.size_bound_ok = math.log(max(len(family.containers), 1)) <= limit + 1e-12
-    if not family.size_bound_ok:
-        family.violations.append("container family exceeds its size bound")
-
-
 @dataclass
 class PipelineFamily:
     """Containers plus the verification record of a pipeline run."""
@@ -509,45 +498,55 @@ class PipelineFamily:
     shrunk: dict = field(default_factory=dict)  # container -> Y mask (ext. pipeline)
 
 
-def _container_core(n: int, is_good, q_hc: Fraction, s: int, p, what: str) -> dict:
-    """The steps both pipelines share, as PipelineFamily fields.
+def _verified_pipeline(
+    h: Hypergraph, params: dict, is_good, q_cover: Fraction, what: str, violation, size_factor: int
+) -> PipelineFamily:
+    """The body both pipelines run, from the certified up-set to the
+    verified family on the universe of h.
 
     The up-set of the sets where ``is_good`` holds (by minimal members; the
     property is inclusion-monotone) is fingerprinted with the exact cover
-    construction at (q_hc, 1/2); each cover is sliced to uniformity s and
+    construction at (q_cover, 1/2); each cover is sliced to uniformity s and
     handed to the fallback oracle.  Every uncertified set must fit a
     container: a gap is a violation, or incomplete when the oracle stalled.
     Both questions read 2^n tables: the up-set's containment table and the
-    containers' down-closure."""
+    containers' down-closure.  Then ``violation(family, x_mask)`` checks
+    each container (a message, or None), and a family of more than
+    4 (2/q)^(c q n) containers, c = size_factor, is a violation; log(2/q)
+    comes from q's integers, since float(q) may be 0."""
+    n, s, p, q = h.n, params["s"], params["p"], params["q"]
     minimals = minimal_members(n, is_good)
     uncertified = [not c for c in containment_table(n, minimals)]
-    fam_hc, _ = _hardcover_core(n, uncertified, q_hc, Fraction(1, 2), False)
-    incomplete = []
-    violations = []
+    fam_hc, _ = _hardcover_core(n, uncertified, q_cover, Fraction(1, 2), False)
+    family = PipelineFamily(h, params, (), minimals)
     containers = set()
     for t_mask in fam_hc.fingerprints:
         slice_h = upset_slice(Hypergraph(n, fam_hc.covers[t_mask]), s)
         oracle = uniform_container_oracle(slice_h, p)
-        incomplete.extend(f"T={t_mask:b}: {msg}" for msg in oracle.incomplete)
+        family.incomplete.extend(f"T={t_mask:b}: {msg}" for msg in oracle.incomplete)
         containers.update(oracle.psi.values())
-    containers = tuple(sorted(containers))
+    family.containers = tuple(sorted(containers))
     covered = [False] * (1 << n)
-    for x_mask in containers:
+    for x_mask in family.containers:
         covered[x_mask] = True
     _fold_pairs(covered, n, _either, into_subset=True)
     for l_mask in range(1 << n):
         if uncertified[l_mask] and not covered[l_mask]:
             msg = f"uncovered {what} set {l_mask:b}"
-            if incomplete:
-                incomplete.append(msg + " (fallback oracle stalled)")
+            if family.incomplete:
+                family.incomplete.append(msg + " (fallback oracle stalled)")
             else:
-                violations.append(msg)
-    return dict(
-        containers=containers,
-        certified_minimals=minimals,
-        violations=violations,
-        incomplete=incomplete,
-    )
+                family.violations.append(msg)
+    for x_mask in family.containers:
+        msg = violation(family, x_mask)
+        if msg is not None:
+            family.violations.append(msg)
+    log_two_over_q = math.log(2 * q.denominator) - math.log(q.numerator)
+    limit = math.log(4.0) + size_factor * float(q) * n * log_two_over_q
+    family.size_bound_ok = math.log(max(len(family.containers), 1)) <= limit + 1e-12
+    if not family.size_bound_ok:
+        family.violations.append("container family exceeds its size bound")
+    return family
 
 
 def _check_r_and_eta(r_param: Fraction, eta: Fraction) -> None:
@@ -595,7 +594,6 @@ def non_janson_containers(
     if q + p > Fraction(1, 2):
         raise InputError(f"q + p must be at most 1/2, got {_shown(q + p)}")
     _check_r_and_eta(r_param, eta)
-    scaled = False
     if strict:
         if q > Fraction(1, 16):
             raise InputError("pipeline requires q <= 1/16")
@@ -605,8 +603,6 @@ def non_janson_containers(
             raise InputError("pipeline requires R >= 2^-6 p n")
         if eta != Fraction(1, 1 << (2 * s + 2)):
             raise InputError("pipeline fixes eta = 2^(-2s-2); pass strict=False to scale")
-    else:
-        scaled = True
 
     p_inner = p / q
     r_inner = eta * r_param
@@ -617,25 +613,17 @@ def non_janson_containers(
             context=f"auxiliary membership of {l_mask:b}",
         )
 
-    family = PipelineFamily(
-        host=h,
-        params={
-            "p": p, "q": q, "R": r_param, "eta": eta, "s": s, "n": h.n,
-            "alpha": Fraction(1, 2), "scaled": scaled,
-        },
-        **_container_core(h.n, is_good, q + p, s, p, "vertex"),
-    )
-    # every container's induced sub-hypergraph misses (p, R)
-    for x_mask in family.containers:
-        if require_verdict(
-            restrict_edges(h, x_mask), p, r_param,
-            context=f"container {x_mask:b}",
-        ):
-            family.violations.append(
-                f"container {x_mask:b} induces a (p, R) witness"
-            )
-    _check_size_bound(family, q, h.n, 8)
-    return family
+    def violation(family: PipelineFamily, x_mask: int):
+        # every container's induced sub-hypergraph misses (p, R)
+        if require_verdict(restrict_edges(h, x_mask), p, r_param, context=f"container {x_mask:b}"):
+            return f"container {x_mask:b} induces a (p, R) witness"
+        return None
+
+    params = {
+        "p": p, "q": q, "R": r_param, "eta": eta, "s": s, "n": h.n,
+        "alpha": Fraction(1, 2), "scaled": not strict,
+    }
+    return _verified_pipeline(h, params, is_good, q + p, "vertex", violation, 8)
 
 
 def extension_containers(
@@ -687,7 +675,6 @@ def extension_containers(
     if r_colours < 1:
         raise InputError(f"r must be at least 1, got {r_colours}")
     _check_r_and_eta(r_param, eta)
-    scaled = False
     if strict:
         if not 0 < q < Fraction(1, 8):
             raise InputError("pipeline requires 0 < q < 1/8")
@@ -699,8 +686,6 @@ def extension_containers(
             raise InputError("pipeline requires 0 <= R' <= R/16")
         if eta != eta_default:
             raise InputError("pipeline fixes eta = p^4 (q/2)^(4s); pass strict=False to scale")
-    else:
-        scaled = True
 
     if base_copies.n != ext.m:
         raise InputError("base copies must live on the host universe")
@@ -721,28 +706,24 @@ def extension_containers(
             context=f"extended membership of {l_mask:b}",
         )
 
-    family = PipelineFamily(
-        host=h,
-        params={
-            "p": p, "q": q, "R": r_param, "R'": r_prime, "eta": eta,
-            "r": r_colours, "s": s, "n": n, "scaled": scaled,
-        },
-        **_container_core(n, is_good, q, s, p, "index"),
-    )
-
     # the trimming step may delete n // (256 r) vertices, none at n <= ZETA_CAP,
     # so each large container is its own trimmed set Y or a violation
     floor_size = -(-n // (8 * r_colours))  # ceil(n / 8r)
-    for x_mask in family.containers:
+
+    def violation(family: PipelineFamily, x_mask: int):
         if popcount(x_mask) < floor_size:
-            continue
+            return None
         projected = project(restrict_edges(h, x_mask), ext.pi)
         if require_verdict(projected, p, r_param, context=f"trimmed container {x_mask:b}"):
-            family.violations.append(
+            return (
                 f"container {x_mask:b}: projected sub-hypergraph stays (p, R) "
                 "within the trimming allowance 0"
             )
-        else:
-            family.shrunk[x_mask] = x_mask
-    _check_size_bound(family, q, n, 4)
-    return family
+        family.shrunk[x_mask] = x_mask
+        return None
+
+    params = {
+        "p": p, "q": q, "R": r_param, "R'": r_prime, "eta": eta,
+        "r": r_colours, "s": s, "n": n, "scaled": not strict,
+    }
+    return _verified_pipeline(h, params, is_good, q, "index", violation, 4)

@@ -47,6 +47,7 @@ from .measures import (
     Measure,
     add,
     degree,
+    is_rational,
     lambda_p,
     mass,
     overlap_sums,
@@ -291,7 +292,7 @@ def _query(h: Hypergraph, p, tol: float):
     ends in None and Frank-Wolfe's in ``tol``, so an exact and a floating
     result never share an entry, even where a Fraction p equals a float."""
     edges = tuple(sorted(h.edges))
-    exact = isinstance(p, (Fraction, int)) and len(edges) <= KKT_EDGE_CAP
+    exact = is_rational(p) and len(edges) <= KKT_EDGE_CAP
     return edges, (h.n, edges, p, None if exact else tol), exact
 
 
@@ -304,7 +305,7 @@ def min_lambda(h: Hypergraph, p, tol: float = DEFAULT_TOL) -> MinLambdaResult:
     if settled == "NO":
         raise InputError("minimum needs at least one edge")
     if settled == "YES":
-        rational = isinstance(p, (Fraction, int))
+        rational = is_rational(p)
         zero = Fraction(0) if rational else 0.0
         return MinLambdaResult(zero, _unit_witness(h, rational), zero, 0, rational)
 
@@ -327,7 +328,7 @@ def janson_threshold(h: Hypergraph, p):
     infinity when an edge of size <= 1 lets lambda vanish at positive mass."""
     settled = _settled(h, p, 1)  # R* does not depend on R; any R > 0 will do
     if settled == "NO":
-        return Fraction(0) if isinstance(p, (Fraction, int)) else 0.0
+        return Fraction(0) if is_rational(p) else 0.0
     if settled == "YES":
         return INF
     return 1 / min_lambda(h, p).value
@@ -368,10 +369,10 @@ def _diagonal_no(h: Hypergraph, p, r) -> bool:
     has ruled out edges of size <= 1; it is taken once per edge size.
     Unless p and R are rational, R must clear the sum by a relative margin
     of DEFAULT_TOL, which covers the rounding of a float sum."""
-    exact = isinstance(p, (Fraction, int))
+    exact = is_rational(p)
     sizes = Counter(popcount(e) for e in h.edges)
     inverse = sum(k / pair_coefficient(c, p, exact) for c, k in sizes.items())
-    if exact and isinstance(r, (Fraction, int)):
+    if exact and is_rational(r):
         return r >= inverse
     return r >= (1 + DEFAULT_TOL) * inverse
 
@@ -414,7 +415,7 @@ def is_janson(h: Hypergraph, p, r) -> JansonVerdict:
         if settled == "NO":
             note = "no edges: no measure has positive mass"
             return JansonVerdict("NO", r_star, None, INF, 0, 0, tol, True, note)
-        exact = isinstance(p, (Fraction, int)) and isinstance(r, (Fraction, int))
+        exact = is_rational(p) and is_rational(r)
         note = "unit mass on a size-<=1 edge has zero overlap"
         witness = _unit_witness(h, exact)
         return JansonVerdict("YES", r_star, witness, None, 0, 0, tol, exact, note)
@@ -469,7 +470,7 @@ def _bracket_verdict(h: Hypergraph, p, r):
     no memoised minimum yet.  A floating Frank-Wolfe point, made exact and
     of mass one, goes through :func:`_decide`, which answers exactly; None
     when 1/R lies between its dual bound and lambda_p."""
-    if not isinstance(r, (Fraction, int)):
+    if not is_rational(r):
         return None
     edges, key, exact = _query(h, p, DEFAULT_TOL)
     if not exact or key in _cache:

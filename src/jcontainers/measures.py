@@ -44,15 +44,21 @@ from .hypercore import (
 SUBSET_EDGE_CAP = 20  # algorithm A enumerates 2^|E| submasks per edge
 
 
+def is_rational(x) -> bool:
+    """Whether x is an exact rational (a Fraction or an int), the one test
+    that sends a value down the exact path."""
+    return isinstance(x, (Fraction, int))
+
+
 def as_fraction(x, name: str) -> Fraction:
     """x as a Fraction; InputError unless it is an exact rational."""
-    if isinstance(x, (Fraction, int)):
+    if is_rational(x):
         return Fraction(x)
     raise InputError(f"{name} must be an exact rational on this path")
 
 
 def _check_probability(p, exact: bool):
-    if exact and not isinstance(p, (Fraction, int)):
+    if exact and not is_rational(p):
         raise InputError("exact-mode lambda_p needs a rational p")
     if not 0 < p <= 1:
         raise InputError("p must lie in (0, 1]")
@@ -70,7 +76,7 @@ class Measure:
         if len(self.weights) != len(self.host.edges):
             raise InputError("weight count must equal edge count")
         for w in self.weights:
-            if self.exact and not isinstance(w, (Fraction, int)):
+            if self.exact and not is_rational(w):
                 raise InputError("exact measure weights must be rational")
             if not self.exact and not isinstance(w, float):
                 raise InputError("floating measure weights must be floats")

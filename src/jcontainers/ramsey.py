@@ -34,7 +34,11 @@ BUDGET_SUBSETS = 1 << 16  # vertex sets event B' or E sweeps before sampling
 class ExperimentConfig:
     """Every config-file key with its default, plus the derived constants;
     overriding a derived constant sets ``scaled`` so reports can flag
-    non-canonical parameters.  An unset ``seed`` is None."""
+    non-canonical parameters.  An unset ``seed`` is None.
+
+    Where an event's vertex sets outnumber ``budget_subsets`` = b, it
+    sweeps b of them: the first floor(b/2) in order and b - floor(b/2)
+    seeded draws from the rest."""
 
     r: int = 2
     k: int = 3
@@ -171,9 +175,9 @@ def _colorings(g: Graph, r: int, budget: int, rng: SplitMix64):
 
 
 def _sample_subsets(subsets: list, budget: int, rng: SplitMix64, report: EventReport) -> list:
-    """The subsets when they fit the budget; beyond it, the first half of
-    the budget in order and a seeded sample of the rest for the other half
-    (the report drops its exhaustive flag)."""
+    """The subsets when they fit the budget b; beyond it, the first
+    floor(b/2) subsets in order and b - floor(b/2) seeded draws from the
+    rest, so b sets in all (the report drops its exhaustive flag)."""
     if len(subsets) <= budget:
         return subsets
     report.exhaustive = False
@@ -182,7 +186,7 @@ def _sample_subsets(subsets: list, budget: int, rng: SplitMix64, report: EventRe
         report.notes.append(note)
     half = budget // 2
     pool = subsets[half:]
-    return subsets[:half] + [pool[rng.below(len(pool))] for _ in range(half)]
+    return subsets[:half] + [pool[rng.below(len(pool))] for _ in range(budget - half)]
 
 
 def _large_subsets(n: int, floor: int, event: str) -> list:
@@ -275,8 +279,9 @@ def check_event_bad_prime(
     G[S] leaving every colour's copy hypergraph inside S without a witness
     at the reduced threshold 2^-9 r^-1 delta p v(G)?
 
-    Beyond the subset budget, half the budget goes to the smallest sets
-    (where witnesses are cheap and common) and the rest is sampled."""
+    Beyond the subset budget b, the floor(b/2) smallest sets (where
+    witnesses are cheap and common) are swept and b - floor(b/2) more are
+    sampled."""
     p = as_fraction(p, "p")
     r = len(targets)
     n = g.n

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jcontainers import janson
+from jcontainers import containers, janson
 from jcontainers.containers import (
     CoverCertificate,
+    UniformContainerFamily,
     _fingerprint_table,
     _popcounts,
     conditional_prob,
@@ -515,6 +516,80 @@ class TestCoverageCheck:
             "T=0: shared container 0 does not verify",
             "uncovered vertex set 0 (fallback oracle stalled)",
         ]
+
+
+class TestPipelineBranches:
+    """The checks a sound run never fails, reached by patching the oracle or
+    the verdicts the pipelines read from their module."""
+
+    @staticmethod
+    def record_verdicts(monkeypatch, answers):
+        """Route containers.require_verdict through a recorder: a context in
+        ``answers`` gets that answer, any other the real verdict."""
+        contexts = []
+
+        def verdict(h, p, r, context=""):
+            contexts.append(context)
+            if context in answers:
+                return answers[context]
+            return janson.require_verdict(h, p, r, context=context)
+
+        monkeypatch.setattr(containers, "require_verdict", verdict)
+        return contexts
+
+    @staticmethod
+    def fixed_oracle(monkeypatch, container_masks):
+        family = lambda h, p: UniformContainerFamily({}, dict(enumerate(container_masks)))
+        monkeypatch.setattr(containers, "uniform_container_oracle", family)
+
+    def test_size_bound_violation(self, monkeypatch):
+        # at q = 2^-20 the bound 4 (2/q)^(8 q n) is barely above 4, so five
+        # containers break it; the full set covers every uncertified set
+        self.fixed_oracle(monkeypatch, [0b111111, 0b1, 0b10, 0b100, 0b1000])
+        q = F(1, 2**20)
+        fam = non_janson_containers(Hypergraph(6, ()), q, q, F(1), strict=False)
+        assert fam.containers == (0b1, 0b10, 0b100, 0b1000, 0b111111)
+        assert fam.size_bound_ok is False
+        assert fam.violations == ["container family exceeds its size bound"]
+        assert fam.incomplete == []
+
+    def test_container_inducing_a_witness(self, monkeypatch):
+        h = Hypergraph(3, ())
+        contexts = self.record_verdicts(monkeypatch, {"container 111": True})
+        fam = non_janson_containers(h, *pipeline_params(h))
+        assert fam.containers == (0b111,)
+        assert fam.violations == ["container 111 induces a (p, R) witness"]
+        assert fam.size_bound_ok is True
+        # membership in (size, mask) order, then the oracle, then the container
+        assert contexts == [
+            f"auxiliary membership of {m:b}" for m in (0, 1, 2, 4, 3, 5, 6, 7)
+        ] + ["uniform-container oracle", "container 111"]
+
+    def test_extension_trimming_branches(self, monkeypatch):
+        # one colour on 12 two-layer vertices puts the trimming floor at
+        # ceil(12 / 8) = 2: the singleton is skipped, the pair at the floor
+        # stays (p, R) and the full set is its own trimmed set
+        ext, base = TestExtensionPipeline().build()
+        n = ext.hyper.n
+        full = (1 << n) - 1
+        assert -(-n // 8) == 2
+        self.fixed_oracle(monkeypatch, [full, 0b1, 0b11])
+        contexts = self.record_verdicts(
+            monkeypatch,
+            {"trimmed container 11": True, f"trimmed container {full:b}": False},
+        )
+        p, q, big_r = TestExtensionPipeline().params(n, r=1)
+        fam = extension_containers(ext, base, ext.m, p, q, big_r, F(0), r_colours=1)
+        assert fam.containers == (0b1, 0b11, full)
+        assert [c for c in contexts if c.startswith("trimmed")] == [
+            "trimmed container 11", f"trimmed container {full:b}",
+        ]
+        assert fam.violations == [
+            "container 11: projected sub-hypergraph stays (p, R) "
+            "within the trimming allowance 0"
+        ]
+        assert fam.shrunk == {full: full}
+        assert fam.size_bound_ok is True
 
 
 class TestExtensionPipeline:

@@ -8,7 +8,8 @@ from fractions import Fraction as F
 import pytest
 
 from jcontainers import ramsey
-from jcontainers.errors import BudgetError, InputError
+from jcontainers.cli import dispatch
+from jcontainers.errors import BudgetError, InputError, UndecidedError
 from jcontainers.hypercore import Coloring, Graph, bits_of, mask_of
 from jcontainers.ramsey import (
     ExperimentConfig,
@@ -303,6 +304,27 @@ class TestEvents:
         )
         assert report.holds == again.holds
 
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_subset_budget_sweeps_every_set_it_allows(self, budget, monkeypatch):
+        # K5 has 16 sets of at least ceil(0.3^(2/3) 5) = 3 vertices: a budget
+        # b sweeps floor(b/2) of them in order and samples the other b - floor(b/2)
+        counts = []
+        sweep = ramsey._sweep
+
+        def counted(report, g, windows, p, budget, rng):
+            windows = list(windows)
+            counts.append(len(windows))
+            return sweep(report, g, windows, p, budget, rng)
+
+        monkeypatch.setattr(ramsey, "_sweep", counted)
+        report = check_event_bad_prime(
+            Graph.complete(5), [Graph.complete(3)] * 2, F(1, 5), 0.3,
+            budget_subsets=budget, seed=1,
+        )
+        assert counts == [budget]
+        assert report.holds is True  # at b = 1 too: the one sampled set has a bad colouring
+        assert report.exhaustive is False
+
     def test_events_take_rational_p_only(self):
         g, targets = Graph.complete(4), [Graph.complete(3)] * 2
         with pytest.raises(InputError, match="p must be an exact rational"):
@@ -322,6 +344,64 @@ class TestEvents:
             if b.holds:
                 bp = check_event_bad_prime(g, targets, p, delta)
                 assert bp.holds is True
+
+
+def undecided_verdicts(monkeypatch):
+    """Make every Janson query ramsey puts undecided; returns the list of
+    the contexts it was asked with."""
+    contexts = []
+
+    def verdict(h, p, r, context=""):
+        contexts.append(context)
+        raise UndecidedError(f"Janson query undecided: {context}")
+
+    monkeypatch.setattr(ramsey, "require_verdict", verdict)
+    return contexts
+
+
+class TestUndecidedQueries:
+    @pytest.mark.parametrize(
+        "event, name",
+        [
+            (lambda: check_event_bad(Graph.complete(5), [Graph.complete(3)] * 2, F(1, 5)), "B"),
+            (
+                lambda: check_event_bad_prime(
+                    Graph.complete(5), [Graph.complete(3)] * 2, F(1, 5), 0.3
+                ),
+                "Bprime",
+            ),
+            (lambda: check_event_inductive(Graph.cycle(5), [2, 2], F(1, 4), 0.3), "E"),
+        ],
+    )
+    def test_events_report_indeterminate(self, event, name, monkeypatch):
+        contexts = undecided_verdicts(monkeypatch)
+        report = event()
+        assert report.name == name
+        assert report.holds is None
+        assert report.witness == {}
+        assert contexts == [f"event {name}"]
+        indeterminate = [note for note in report.notes if note.startswith("indeterminate: ")]
+        assert indeterminate == [f"indeterminate: Janson query undecided: event {name}"]
+
+    def test_cli_event_exits_4(self, monkeypatch, capsys):
+        undecided_verdicts(monkeypatch)
+        code = dispatch(["ramsey", "event", "--kind", "B", "--G", "K5", "--H", "K3,K3"])
+        out = capsys.readouterr().out
+        assert code == 4
+        assert '"holds": null' in out
+
+    def test_omega_experiment_skips_indeterminate_queries(self, monkeypatch):
+        contexts = undecided_verdicts(monkeypatch)
+        report = extension_experiment(
+            Graph.path(3), 1, m=6, r=2, trials=10, seed=8,
+            kind="omega", p=F(1, 5), r_prime=F(1, 100),
+        )
+        assert contexts and set(contexts) == {"omega event"}
+        assert report.successes == 0
+        assert report.notes == [
+            "bound vacuous at desk scale",
+            f"{len(contexts)} indeterminate Janson queries skipped",
+        ]
 
 
 class TestMaximalTuple:

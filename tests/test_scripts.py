@@ -1,3 +1,6 @@
+import importlib
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -31,3 +34,15 @@ def test_mc_experiments_prints_its_csv():
     assert all(len(row.split(",")) == 6 for row in rows)
     kinds = [row.split(",", 1)[0] for row in rows]
     assert kinds == ["chernoff"] * 5 + ["extension-gamma"] * 6
+
+
+def test_benchmark_traced_names_resolve():
+    # the benchmark tracer wraps each (module, name) of perfbench/spans.py's
+    # TRACED with getattr; a renamed or removed function would break it
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TRACED
+    for module, name, *_ in spans.TRACED:
+        target = getattr(importlib.import_module(f"jcontainers.{module}"), name, None)
+        assert inspect.isfunction(target), f"jcontainers.{module}.{name}"
