@@ -31,14 +31,17 @@ Three layers:
   property.  Both build an auxiliary up-set of "already-good" vertex sets
   (stored by minimal members only), fingerprint it, slice each cover to the
   working uniformity, and hand these slices to the uniform-container oracle.
-  The oracle seam stands in for an external container theorem.  Its
-  fallback offers one shared container, the union of all independent sets,
-  and verifies it; at desk scale that container always verifies unless it
-  is empty (the proof is in :func:`uniform_container_oracle`).  A failure
-  is reported as incompleteness, kept distinct from a theorem violation
-  throughout.  The extension pipeline's trimming step may delete
-  n / (256 r) vertices, which is none at n <= ZETA_CAP, so it is a single
-  projected check per large container.
+  Both certification predicates are inclusion-monotone and read only the
+  host edges inside the set, so :func:`minimal_members` asks them only at
+  unions of host edges.  The oracle seam stands in for an external
+  container theorem.  Its fallback offers one shared container, the union
+  of all independent sets, and verifies it; at desk scale that container
+  always verifies unless it is empty (the proof is in
+  :func:`uniform_container_oracle`).  A failure is reported as
+  incompleteness, kept distinct from a theorem violation throughout.  The
+  extension pipeline's trimming step may delete n / (256 r) vertices,
+  which is none at n <= ZETA_CAP, so it is a single projected check per
+  large container.
 
 The empty set satisfies the cover inequality vacuously, which would make
 nothing independent in any cover; covers therefore keep nonempty members
@@ -214,7 +217,10 @@ def _fingerprint_table(sat: list[bool], n: int, counts: list[int]) -> list[int]:
     carries the key (|S| << n) | S; folding keys up to supersets with max
     leaves every mask the largest key among its satisfying submasks.  The
     empty set always satisfies the inequality, so a fingerprint always
-    exists."""
+    exists; when no nonempty set satisfies it, every fingerprint is empty
+    and the passes are skipped."""
+    if not any(sat[1:]):
+        return [0] * (1 << n)
     keys = [(k << n) | m if s else 0 for m, (s, k) in enumerate(zip(sat, counts))]
     _fold_pairs(keys, n, _larger, into_subset=False)
     low = (1 << n) - 1
@@ -460,13 +466,25 @@ def uniform_container_oracle(h: Hypergraph, p) -> UniformContainerFamily:
 # Up-sets of certified vertex sets, stored via minimal members
 
 
-def minimal_members(n: int, holds) -> tuple:
-    """Minimal members of an inclusion-monotone set property on masks.
-    ``holds(mask)`` is queried with every subset-minimal candidate; masks
-    containing a known member are skipped."""
+def minimal_members(h: Hypergraph, holds) -> tuple:
+    """Minimal members, in (size, mask) order, of a set property on the
+    vertex masks of h that is inclusion-monotone and reads only the edges
+    of h inside the mask (as ``holds(mask)`` does when it looks at
+    ``restrict_edges(h, mask)`` alone).
+
+    Such a property answers alike at a mask and at its span, the union of
+    the edges of h inside it, so every minimal member is its own span.
+    ``holds`` is therefore queried only at spans, in (size, mask) order,
+    skipping those that contain a known member; the spans are read off one
+    OR-fold table (span[mask] = mask exactly at the spans)."""
+    size = 1 << h.n
+    span = [0] * size
+    for e in h.edges:
+        span[e] = e
+    _fold_pairs(span, h.n, _either, into_subset=False)
+    spans = itertools.compress(range(size), map(operator.eq, span, range(size)))
     minimals: list[int] = []
-    order = sorted(range(1 << n), key=lambda m: (popcount(m), m))
-    for mask in order:
+    for mask in sorted(spans, key=lambda m: (popcount(m), m)):
         if any(mm & ~mask == 0 for mm in minimals):
             continue
         if holds(mask):
@@ -505,17 +523,18 @@ def _verified_pipeline(
     verified family on the universe of h.
 
     The up-set of the sets where ``is_good`` holds (by minimal members; the
-    property is inclusion-monotone) is fingerprinted with the exact cover
-    construction at (q_cover, 1/2); each cover is sliced to uniformity s and
-    handed to the fallback oracle.  Every uncertified set must fit a
-    container: a gap is a violation, or incomplete when the oracle stalled.
+    property is inclusion-monotone and reads only the edges of h inside the
+    set) is fingerprinted with the exact cover construction at
+    (q_cover, 1/2); each cover is sliced to uniformity s and handed to the
+    fallback oracle.  Every uncertified set must fit a container: a gap is
+    a violation, or incomplete when the oracle stalled.
     Both questions read 2^n tables: the up-set's containment table and the
     containers' down-closure.  Then ``violation(family, x_mask)`` checks
     each container (a message, or None), and a family of more than
     4 (2/q)^(c q n) containers, c = size_factor, is a violation; log(2/q)
     comes from q's integers, since float(q) may be 0."""
     n, s, p, q = h.n, params["s"], params["p"], params["q"]
-    minimals = minimal_members(n, is_good)
+    minimals = minimal_members(h, is_good)
     uncertified = [not c for c in containment_table(n, minimals)]
     fam_hc, _ = _hardcover_core(n, uncertified, q_cover, Fraction(1, 2), False)
     family = PipelineFamily(h, params, (), minimals)

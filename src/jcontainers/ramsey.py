@@ -124,22 +124,29 @@ def find_bad_coloring(
 
     worn = [0] * r  # per colour, the mask of slots wearing it
     explored = 0
+    # With one target for every colour, colours are interchangeable, so the
+    # search opens a colour only once the one before it is worn; the first
+    # valid colouring in search order already uses its colours in that
+    # order.  steps[k] lists, for a slot with colours 0 .. k - 1 open, each
+    # colour and the open count after it.
+    steps = [[(c, k if c + 1 < k else min(k + 1, r)) for c in range(k)] for k in range(r + 1)]
 
-    def backtrack(i: int) -> bool:
+    def backtrack(i: int, opened: int) -> bool:
         nonlocal explored
         explored += 1
         if budget is not None and explored > budget:
             raise BudgetError("colouring search budget exceeded", partial=explored - 1)
         if i == m:
             return True
-        for c in range(r):
-            worn[c] |= 1 << i
-            if all(inner & ~worn[c] for inner in closing[c][i]) and backtrack(i + 1):
+        bit = 1 << i
+        for c, after in steps[opened]:
+            worn[c] |= bit
+            if all(inner & ~worn[c] for inner in closing[c][i]) and backtrack(i + 1, after):
                 return True
-            worn[c] ^= 1 << i
+            worn[c] ^= bit
         return False
 
-    if backtrack(0):
+    if backtrack(0, 1 if len(built) == 1 else r):
         colour_of = {i: c + 1 for c in range(r) for i in bits_of(worn[c])}
         return Coloring(r, {e: colour_of[i] for i, e in enumerate(edges)})
     return None

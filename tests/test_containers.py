@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -33,7 +35,7 @@ from jcontainers.hypercore import (
     popcount,
     restrict_edges,
 )
-from jcontainers.janson import janson_threshold, min_lambda
+from jcontainers.janson import janson_threshold, min_lambda, require_verdict
 from jcontainers.prng import SplitMix64
 
 from conftest import hypergraphs
@@ -218,6 +220,14 @@ class TestOnePassTables:
         sat = [m == 0 or rng.below(64) < density for m in range(1 << n)]
         fp = _fingerprint_table(sat, n, _popcounts(n))
         assert fp == [fingerprint_in_table(sat, m) for m in range(1 << n)]
+
+    @pytest.mark.parametrize("empty_satisfies", [True, False])
+    @pytest.mark.parametrize("n", range(11))
+    def test_fingerprint_table_without_nonempty_satisfier(self, n, empty_satisfies):
+        # the early exit: no nonempty set satisfies, so every fingerprint is empty
+        sat = [m == 0 and empty_satisfies for m in range(1 << n)]
+        fp = _fingerprint_table(sat, n, _popcounts(n))
+        assert fp == [fingerprint_in_table(sat, m) for m in range(1 << n)] == [0] * (1 << n)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_family_matches_reference(self, seed):
@@ -435,14 +445,63 @@ class TestSharedContainer:
         assert fam.incomplete == ["shared container 0 does not verify"]
 
 
+def full_scan_minimal_members(n, holds):
+    """The reference for minimal_members: every mask of the 2^n lattice in
+    (size, mask) order is queried unless it contains a known member."""
+    minimals = []
+    for mask in sorted(range(1 << n), key=lambda m: (popcount(m), m)):
+        if any(mm & ~mask == 0 for mm in minimals):
+            continue
+        if holds(mask):
+            minimals.append(mask)
+    return tuple(minimals)
+
+
+@st.composite
+def hosts_with_small_edges(draw):
+    """A host on up to 7 vertices with edges of at most 3 vertices: the
+    empty edge and one-vertex edges among them."""
+    n = draw(st.integers(1, 7))
+    edge = st.integers(0, (1 << n) - 1).filter(lambda m: m.bit_count() <= 3)
+    return Hypergraph(n, tuple(sorted(draw(st.lists(edge, min_size=1, max_size=8, unique=True)))))
+
+
 class TestMinimalMembers:
     @given(hypergraphs(min_n=1, max_n=7))
     @settings(max_examples=40, deadline=None)
     def test_upset_membership_matches_direct(self, h):
         holds = lambda m: any(e & ~m == 0 for e in h.edges)
-        upset = containment_table(h.n, minimal_members(h.n, holds))
+        upset = containment_table(h.n, minimal_members(h, holds))
         for mask in range(1 << h.n):
             assert upset[mask] == holds(mask)
+
+    @staticmethod
+    def check_against_full_scan(h, holds):
+        asked = []
+
+        def recorded(mask):
+            asked.append(mask)
+            return holds(mask)
+
+        assert minimal_members(h, recorded) == full_scan_minimal_members(h.n, holds)
+        # only unions of the edges inside them are asked, each once
+        for mask in asked:
+            assert functools.reduce(operator.or_, restrict_edges(h, mask).edges, 0) == mask
+        assert len(asked) == len(set(asked))
+
+    @given(hosts_with_small_edges(), st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_edge_count_property_matches_full_scan(self, h, k):
+        self.check_against_full_scan(h, lambda m: len(restrict_edges(h, m).edges) >= k)
+
+    @given(
+        hosts_with_small_edges(),
+        st.sampled_from([F(1, 4), F(1, 2)]),
+        st.sampled_from([F(1, 30), F(1, 4), F(1)]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_janson_property_matches_full_scan(self, h, p, r):
+        self.check_against_full_scan(h, lambda m: require_verdict(restrict_edges(h, m), p, r))
 
 
 def pipeline_params(h, q=F(1, 16)):
@@ -560,10 +619,11 @@ class TestPipelineBranches:
         assert fam.containers == (0b111,)
         assert fam.violations == ["container 111 induces a (p, R) witness"]
         assert fam.size_bound_ok is True
-        # membership in (size, mask) order, then the oracle, then the container
+        # membership of the one union of edges (the empty one), then the
+        # oracle, then the container
         assert contexts == [
-            f"auxiliary membership of {m:b}" for m in (0, 1, 2, 4, 3, 5, 6, 7)
-        ] + ["uniform-container oracle", "container 111"]
+            "auxiliary membership of 0", "uniform-container oracle", "container 111"
+        ]
 
     def test_extension_trimming_branches(self, monkeypatch):
         # one colour on 12 two-layer vertices puts the trimming floor at
@@ -590,6 +650,35 @@ class TestPipelineBranches:
         ]
         assert fam.shrunk == {full: full}
         assert fam.size_bound_ok is True
+
+    def test_extension_queries_only_unions_of_edges(self, monkeypatch):
+        # the containers workload's shape: F = P3, w = 1, G' = E6 and G with
+        # 8 of its 15 pairs; the full (size, mask) scan asked 1,161 times
+        rng = SplitMix64(7)
+        pairs = list(itertools.combinations(range(6), 2))
+        chosen = rng.sample_mask(len(pairs), 8)
+        g = Graph.from_edges(6, [pairs[i] for i in range(len(pairs)) if chosen >> i & 1])
+        f, empty = Graph.path(3), Graph.empty(6)
+        ext = extension_hypergraph(f, 1, empty, g)
+        base = induced_copy_hypergraph(f, empty, g).hyper
+        contexts = self.record_verdicts(monkeypatch, {})
+        q = F(1, 16)
+        p = q / (1 << 14)
+        fam = extension_containers(ext, base, ext.m, p, q, p * ext.hyper.n / 64, F(0))
+        assert fam.violations == [] and fam.incomplete == []
+        assert len(fam.certified_minimals) == 7
+        assert len(contexts) == 10
+        assert sum(c.startswith("extended membership") for c in contexts) == 8
+
+    def test_non_janson_queries_only_unions_of_edges(self, monkeypatch):
+        # four pairs on 9 vertices; the full (size, mask) scan asked 186 times
+        h = Hypergraph.from_vertex_lists(9, [[0, 1], [2, 3], [4, 5], [1, 6]])
+        contexts = self.record_verdicts(monkeypatch, {})
+        fam = non_janson_containers(h, *pipeline_params(h))
+        assert fam.violations == [] and fam.incomplete == []
+        assert fam.certified_minimals == (0b11, 0b1100, 0b110000, 0b1000010)
+        assert len(contexts) == 7
+        assert sum(c.startswith("auxiliary membership") for c in contexts) == 5
 
 
 class TestExtensionPipeline:

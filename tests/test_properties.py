@@ -79,7 +79,7 @@ class TestCertifiedUpset:
         def holds(l_mask):
             return require_verdict(restrict_edges(h, l_mask), p, r)
 
-        minimals = minimal_members(h.n, holds)
+        minimals = minimal_members(h, holds)
         upset = containment_table(h.n, minimals)
         for l_mask in range(1 << h.n):
             assert upset[l_mask] == holds(l_mask)

@@ -9,6 +9,7 @@ import pytest
 
 from jcontainers import ramsey
 from jcontainers.cli import dispatch
+from jcontainers.copies import induced_copy_hypergraph
 from jcontainers.errors import BudgetError, InputError, UndecidedError
 from jcontainers.hypercore import Coloring, Graph, bits_of, mask_of
 from jcontainers.ramsey import (
@@ -140,12 +141,14 @@ def _search_with_nodes(g, targets, budget=None):
 class TestSearchPinned:
     """Outcomes and node counts of the arrows search, recorded from the
     watcher-list implementation it replaced: the edge order, the colour
-    order and the pruning rule must all stay as they were."""
+    order and the pruning rule must all stay as they were.  Where every
+    target is the same graph, colours open in order, which cut the nodes of
+    K6/K3/2 from 987 to 494 and of the seeded "P3 P3" host from 9 to 5."""
 
     K3, K4 = Graph.complete(3), Graph.complete(4)
 
     def test_k6_arrows_the_triangle(self):
-        assert _search_with_nodes(Graph.complete(6), [self.K3] * 2) == (None, 987)
+        assert _search_with_nodes(Graph.complete(6), [self.K3] * 2) == (None, 494)
 
     def test_k5_bad_colouring(self):
         assert _search_with_nodes(Graph.complete(5), [self.K3] * 2) == ("1122212211", 39)
@@ -157,7 +160,7 @@ class TestSearchPinned:
     @pytest.mark.parametrize(
         "n, seed, targets, expected",
         [
-            (6, 1, "P3 P3", (None, 9)),
+            (6, 1, "P3 P3", (None, 5)),
             (7, 2, "P3 K3", ("212211122212", 44)),
             (8, 3, "C4 P3", ("1111111221111", 14)),
             (7, 4, "E1 E1", (None, 1)),
@@ -193,6 +196,29 @@ class TestArrows:
         )
         assert arrows_induced(Graph.complete(6), Graph.complete(3), 2)
         assert len(builds) == 1
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_search_returns_the_first_valid_colouring_in_its_order(self, seed):
+        # reference: every colouring in the search's edge order, colours
+        # ascending; opening colours in order must neither lose a colouring
+        # nor return another one
+        rng = SplitMix64(seed)
+        g = sample_gnhalf(5, rng.next_u64())
+        target = [Graph.path(3), Graph.complete(3), Graph.from_edges(3, [(0, 1)])][seed % 3]
+        r = 3
+        edges = sorted(g.edges(), key=lambda e: (-max(g.degree(e[0]), g.degree(e[1])), e))
+        copies = [
+            [e for e in itertools.combinations(bits_of(l_mask), 2) if e in edges]
+            for l_mask in induced_copy_hypergraph(target, g, g).hyper.edges
+        ]
+        expected = None
+        for combo in itertools.product(range(1, r + 1), repeat=len(edges)):
+            colour = dict(zip(edges, combo))
+            if not any(all(colour[e] == c for e in inner) for inner in copies for c in range(1, r + 1)):
+                expected = colour
+                break
+        found = find_bad_coloring(g, [target] * r)
+        assert (None if found is None else found.assignment) == expected
 
 
 class TestEvents:
