@@ -22,6 +22,15 @@ Three layers:
   fingerprint's table is built once and serves its cover, its containment
   table and the strict-inequality samples.
 
+  The boolean tables over the 2^n masks are bitsets, one Python int with a
+  bit per mask: the containment tables of the host and of each cover, the
+  pipelines' certified up-set and their containers' down-closure.  Each is
+  closed in n word-parallel shift-ors, the Boolean case of the zeta
+  transform over the subset lattice (Bjorklund, Husfeldt, Kaski & Koivisto,
+  "Fourier meets Mobius", STOC 2007), and :func:`containment_table` reads
+  it out as a list once.  The tables of integers (superset weights,
+  fingerprint keys, span masks) stay list folds (:func:`_fold_pairs`).
+
 * Cover certificates.  A cover of a target hypergraph whose members all have
   size at least 2 bounds the Janson threshold from above by its p-weight
   sum of p^|E| (Cauchy-Schwarz against the cover degrees), turning a cheap
@@ -99,15 +108,86 @@ def _popcounts(n: int) -> list[int]:
     return counts
 
 
+@functools.cache
+def _low_masks(n: int) -> tuple[int, ...]:
+    """low[b] for b < n: the bitset of the masks on n vertices without bit b,
+    runs of 2^b ones and 2^b zeros, doubled up to 2^n bits.  Only n up to
+    ZETA_CAP reaches it, so the cache holds at most 17 entries."""
+    low = []
+    for bit in range(n):
+        half = 1 << bit
+        bits, width = (1 << half) - 1, half << 1
+        while width < 1 << n:
+            bits |= bits << width
+            width <<= 1
+        low.append(bits)
+    return tuple(low)
+
+
+def _bitset(n: int, members) -> int:
+    """The bitset over the 2^n masks, one bit per mask, set at the members:
+    packed in a bytearray, so each member costs O(1), not O(2^n)."""
+    if n > ZETA_CAP:
+        raise BudgetError(f"subset-lattice tables capped at {ZETA_CAP} vertices")
+    size = 1 << n
+    packed = bytearray((size + 7) >> 3)
+    for m in members:
+        if not 0 <= m < size:
+            raise InputError(f"mask {m} lies outside the {n}-vertex universe")
+        packed[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(packed, "little")
+
+
+def _up_closure(n: int, members) -> int:
+    """Bitset of the masks on n vertices that contain some member: n
+    shift-ors, each moving the masks without bit b onto their b-supersets."""
+    bits = _bitset(n, members)
+    for bit, low in enumerate(_low_masks(n)):
+        bits |= (bits & low) << (1 << bit)
+    return bits
+
+
+def _down_closure(n: int, members) -> int:
+    """Bitset of the masks on n vertices inside some member: n shift-ors,
+    each moving the masks with bit b onto their b-subsets."""
+    bits = _bitset(n, members)
+    for bit, low in enumerate(_low_masks(n)):
+        bits |= (bits >> (1 << bit)) & low
+    return bits
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bools(bits: int, n: int) -> list[bool]:
+    """The bitset over the 2^n masks as a list, table[mask] = its bit."""
+    digits = f"{bits:0{1 << n}b}"[::-1].encode()
+    return memoryview(digits.translate(_BIT_BYTES)).cast("?").tolist()
+
+
+def _ascending(bits: int):
+    """The masks whose bits are set, in ascending order; the loop runs once
+    per set bit, not once per mask."""
+    digits = f"{bits:b}"[::-1]
+    m = digits.find("1")
+    while m >= 0:
+        yield m
+        m = digits.find("1", m + 1)
+
+
 def _fold_pairs(table: list, n: int, combine, into_subset: bool) -> None:
     """For every bit b and every mask m without b, in bit order and in
     place: table[m | b] = combine(table[m | b], table[m]), which folds each
     entry over its submasks, or with ``into_subset``
     table[m] = combine(table[m], table[m | b]), which folds over supersets.
 
-    ``combine`` maps two equal-length lists to the combined values.  The
-    pairs are taken as list slices (strided for low bits, blocks for high
-    bits), so the interpreter loops about 2^(n/2) times per bit, not 2^n."""
+    It serves the folds whose entries are not booleans: the superset
+    weights, the fingerprint keys and the span masks of
+    :func:`minimal_members`; the boolean tables are bitsets (see
+    :func:`_up_closure`).  ``combine`` maps two equal-length lists to the
+    combined values.  The pairs are taken as list slices (strided for low
+    bits, blocks for high bits), so the interpreter loops about 2^(n/2)
+    times per bit, not 2^n."""
     size = 1 << n
     for bit in range(n):
         half = 1 << bit
@@ -138,14 +218,9 @@ def _larger(xs: list, ys: list) -> list:
 
 
 def containment_table(n: int, edges) -> list[bool]:
-    """table[mask] is True when some edge is a subset of mask."""
-    if n > ZETA_CAP:
-        raise BudgetError(f"containment table capped at {ZETA_CAP} vertices")
-    table = [False] * (1 << n)
-    for e in edges:
-        table[e] = True
-    _fold_pairs(table, n, _either, into_subset=False)
-    return table
+    """table[mask] is True when some edge is a subset of mask, read off the
+    bitset :func:`_up_closure`."""
+    return _bools(_up_closure(n, edges), n)
 
 
 def _superset_weight_table(n: int, keep: list[bool], q: Fraction, counts: list[int]) -> list[int]:
@@ -476,7 +551,8 @@ def minimal_members(h: Hypergraph, holds) -> tuple:
     the edges of h inside it, so every minimal member is its own span.
     ``holds`` is therefore queried only at spans, in (size, mask) order,
     skipping those that contain a known member; the spans are read off one
-    OR-fold table (span[mask] = mask exactly at the spans)."""
+    OR-fold list of span masks (span[mask] = mask exactly at the spans),
+    which holds ints, not booleans, so it is not a bitset."""
     size = 1 << h.n
     span = [0] * size
     for e in h.edges:
@@ -527,9 +603,10 @@ def _verified_pipeline(
     set) is fingerprinted with the exact cover construction at
     (q_cover, 1/2); each cover is sliced to uniformity s and handed to the
     fallback oracle.  Every uncertified set must fit a container: a gap is
-    a violation, or incomplete when the oracle stalled.
-    Both questions read 2^n tables: the up-set's containment table and the
-    containers' down-closure.  Then ``violation(family, x_mask)`` checks
+    a violation, or incomplete when the oracle stalled.  The gaps are the
+    set bits of ``uncertified & ~covered``, two bitsets over the 2^n masks
+    (the up-set's complement and the containers' down-closure), walked in
+    ascending mask order.  Then ``violation(family, x_mask)`` checks
     each container (a message, or None), and a family of more than
     4 (2/q)^(c q n) containers, c = size_factor, is a violation; log(2/q)
     comes from q's integers, since float(q) may be 0."""
@@ -545,17 +622,15 @@ def _verified_pipeline(
         family.incomplete.extend(f"T={t_mask:b}: {msg}" for msg in oracle.incomplete)
         containers.update(oracle.psi.values())
     family.containers = tuple(sorted(containers))
-    covered = [False] * (1 << n)
-    for x_mask in family.containers:
-        covered[x_mask] = True
-    _fold_pairs(covered, n, _either, into_subset=True)
-    for l_mask in range(1 << n):
-        if uncertified[l_mask] and not covered[l_mask]:
-            msg = f"uncovered {what} set {l_mask:b}"
-            if family.incomplete:
-                family.incomplete.append(msg + " (fallback oracle stalled)")
-            else:
-                family.violations.append(msg)
+    # the up-set once more, as a bitset: a few minimal members, n shift-ors
+    uncertified_bits = ((1 << (1 << n)) - 1) & ~_up_closure(n, minimals)
+    covered = _down_closure(n, family.containers)
+    for l_mask in _ascending(uncertified_bits & ~covered):
+        msg = f"uncovered {what} set {l_mask:b}"
+        if family.incomplete:
+            family.incomplete.append(msg + " (fallback oracle stalled)")
+        else:
+            family.violations.append(msg)
     for x_mask in family.containers:
         msg = violation(family, x_mask)
         if msg is not None:

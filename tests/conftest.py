@@ -7,18 +7,16 @@ from jcontainers.hypercore import Graph, Hypergraph, mask_of
 
 @st.composite
 def hypergraphs(draw, min_n=1, max_n=8, max_edges=6, min_edge_size=1, max_edge_size=4):
+    """The edge count is drawn first, clamped to the number of admissible
+    (nonempty, size-bounded) masks, and then that many distinct edges."""
     n = draw(st.integers(min_n, max_n))
-    k = draw(st.integers(0, max_edges))
-    edges = draw(
-        st.lists(
-            st.integers(1, (1 << n) - 1).filter(
-                lambda m: min_edge_size <= m.bit_count() <= max_edge_size
-            ),
-            min_size=0,
-            max_size=k,
-            unique=True,
-        )
-    )
+    admissible = [
+        m for m in range(1, 1 << n) if min_edge_size <= m.bit_count() <= max_edge_size
+    ]
+    k = draw(st.integers(0, min(max_edges, len(admissible))))
+    if k == 0:
+        return Hypergraph(n, ())
+    edges = draw(st.lists(st.sampled_from(admissible), min_size=k, max_size=k, unique=True))
     return Hypergraph(n, tuple(sorted(edges)))
 
 

@@ -9,10 +9,15 @@ from hypothesis import strategies as st
 
 from jcontainers import containers, janson
 from jcontainers.containers import (
+    ZETA_CAP,
     CoverCertificate,
     UniformContainerFamily,
+    _ascending,
+    _bools,
+    _down_closure,
     _fingerprint_table,
     _popcounts,
+    _up_closure,
     conditional_prob,
     containment_table,
     cover_certificate,
@@ -25,7 +30,7 @@ from jcontainers.containers import (
     uniform_container_oracle,
 )
 from jcontainers.copies import extension_hypergraph, induced_copy_hypergraph
-from jcontainers.errors import InputError
+from jcontainers.errors import BudgetError, InputError
 from jcontainers.hypercore import (
     Graph,
     Hypergraph,
@@ -39,6 +44,7 @@ from jcontainers.janson import janson_threshold, min_lambda, require_verdict
 from jcontainers.prng import SplitMix64
 
 from conftest import hypergraphs
+from oracles import or_fold
 
 
 def random_hypergraph(rng, n, max_edges, sizes=(2, 3)):
@@ -210,6 +216,52 @@ def reference_family(h, q, alpha, paper_literal):
         sat_t = satisfying(t_mask)
         covers[t_mask] = tuple(m for m in range(lo, 1 << n) if sat_t[m])
     return fingerprints, phi, covers
+
+
+@st.composite
+def lattice_members(draw):
+    """n = 0..10 and masks of the n-vertex universe: the empty mask and
+    one-vertex masks are drawn often."""
+    n = draw(st.integers(0, 10))
+    mask = st.integers(0, (1 << n) - 1)
+    if n:
+        mask = st.one_of(st.just(0), st.integers(0, n - 1).map(lambda v: 1 << v), mask)
+    return n, draw(st.lists(mask, max_size=12))
+
+
+class TestSubsetLatticeBitsets:
+    """The boolean tables are bitsets closed by n shift-ors; the list OR-fold
+    of tests/oracles.py is the reference."""
+
+    @given(lattice_members())
+    @settings(max_examples=120, deadline=None)
+    def test_closures_match_the_list_fold(self, drawn):
+        n, members = drawn
+        up = _up_closure(n, members)
+        down = _down_closure(n, members)
+        assert up >> (1 << n) == 0 and down >> (1 << n) == 0
+        assert _bools(up, n) == containment_table(n, members) == or_fold(n, members)
+        assert _bools(down, n) == or_fold(n, members, into_subset=True)
+        assert list(_ascending(down)) == [m for m, c in enumerate(_bools(down, n)) if c]
+
+    def test_closures_at_the_cap(self):
+        n = ZETA_CAP
+        rng = SplitMix64(16)
+        members = [rng.sample_mask(n, 1 + rng.below(n)) for _ in range(24)] + [1 << 5]
+        assert containment_table(n, members) == or_fold(n, members)
+        assert _bools(_down_closure(n, members), n) == or_fold(n, members, into_subset=True)
+
+    @pytest.mark.parametrize("table", [containment_table, _up_closure, _down_closure])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_mask_outside_the_universe(self, table, n):
+        for bad in (1 << n, (1 << n) + 1, -1):
+            with pytest.raises(InputError, match="outside the"):
+                table(n, [0, bad])
+
+    @pytest.mark.parametrize("table", [containment_table, _up_closure, _down_closure])
+    def test_above_the_cap(self, table):
+        with pytest.raises(BudgetError):
+            table(ZETA_CAP + 1, [])
 
 
 class TestOnePassTables:
@@ -597,9 +649,30 @@ class TestPipelineBranches:
         return contexts
 
     @staticmethod
-    def fixed_oracle(monkeypatch, container_masks):
-        family = lambda h, p: UniformContainerFamily({}, dict(enumerate(container_masks)))
+    def fixed_oracle(monkeypatch, container_masks, incomplete=()):
+        family = lambda h, p: UniformContainerFamily(
+            {}, dict(enumerate(container_masks)), list(incomplete)
+        )
         monkeypatch.setattr(containers, "uniform_container_oracle", family)
+
+    @pytest.mark.parametrize("stalled", [False, True])
+    def test_coverage_gaps_in_ascending_mask_order(self, monkeypatch, stalled):
+        # the supersets of the edge 11 are certified; the containers 101 and
+        # 1010 cover the subsets of each, which leaves five gaps
+        self.fixed_oracle(monkeypatch, [0b1010, 0b101], ["stalled"] if stalled else [])
+        h = Hypergraph.from_vertex_lists(4, [[0, 1]])
+        fam = non_janson_containers(h, *pipeline_params(h))
+        assert fam.certified_minimals == (0b11,)
+        assert fam.containers == (0b101, 0b1010)
+        gaps = [f"uncovered vertex set {m:b}" for m in (0b110, 0b1001, 0b1100, 0b1101, 0b1110)]
+        if stalled:
+            assert fam.violations == []
+            assert fam.incomplete == ["T=0: stalled"] + [
+                f"{gap} (fallback oracle stalled)" for gap in gaps
+            ]
+        else:
+            assert fam.violations == gaps
+            assert fam.incomplete == []
 
     def test_size_bound_violation(self, monkeypatch):
         # at q = 2^-20 the bound 4 (2/q)^(8 q n) is barely above 4, so five
