@@ -15,7 +15,20 @@ R* = 1 / min equals the supremum of R for which the hypergraph is
 Two solvers are provided: conditional gradient (Frank-Wolfe) with away
 steps and exact line search, in plain Python with O(m) rank-one steps, and
 for small edge counts and rational p an exact rational KKT enumeration over
-support patterns.  Every verdict comes from one rule on a mass-one point x
+support patterns.  The exact path enumerates only the coupled block
+(:func:`_min_lambda_blocks`): Q_ij is 0 when E_i and E_j share at most one
+vertex, so an edge that does so with every other edge (an isolated edge)
+has a row of Q that is zero off the diagonal.  Q is then block-diagonal,
+one 1 x 1 block per isolated edge and one coupled block for the rest, and
+on the simplex the minima combine in closed form:
+
+    1/min = sum_isolated 1/Q_ii + 1/mu_rest,
+
+with x_i proportional to 1/Q_ii and the block's own minimiser scaled
+alongside.  Once :func:`_settled` has ruled out edges of size <= 1, Q is
+positive definite, so the minimiser is unique and this is the point the
+full enumeration would return.  Every verdict comes from one rule on a
+mass-one point x
 (:func:`_decide`): YES when R lambda_p(x) clears 1, NO when R times the dual
 bound 2 min_j (Qx)_j - x^T Q x, which lies below the minimum by convexity,
 reaches 1; both values come from one pass over x (:func:`_evaluate`, over
@@ -56,7 +69,7 @@ from .measures import (
 )
 from .prng import SplitMix64
 
-KKT_EDGE_CAP = 10  # exact path enumerates 2^m support patterns
+KKT_EDGE_CAP = 10  # exact path enumerates up to 2^m - 1 support patterns
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10**6
 BRACKET_MAX_ITER = 1000  # require_verdict's Frank-Wolfe; past it, enumerate
@@ -147,7 +160,11 @@ def min_lambda_exact(h: Hypergraph, p) -> MinLambdaResult:
     a strictly positive stationary solution exists.  Singular faces whose
     particular solution carries a negative sign are skipped: their sign-clean
     stationary points, if any, are rediscovered on the sub-faces, which are
-    all enumerated.
+    all enumerated.  ``iterations`` counts the 2^m - 1 faces solved.
+
+    This is the full enumeration over all m edges.  :func:`min_lambda`
+    calls it only on the coupled block of :func:`_min_lambda_blocks`; the
+    tests keep it whole as the reference that the block split must match.
     """
     m = len(h.edges)
     if m == 0:
@@ -178,7 +195,39 @@ def min_lambda_exact(h: Hypergraph, p) -> MinLambdaResult:
                 full[i] = xs[a]
             best_x = full
     witness = Measure(h, tuple(best_x), exact=True)
-    return MinLambdaResult(best_value, witness, Fraction(0), 1 << m, exact=True)
+    return MinLambdaResult(best_value, witness, Fraction(0), len(supports), exact=True)
+
+
+def _min_lambda_blocks(h: Hypergraph, p) -> MinLambdaResult:
+    """The exact simplex minimum, with isolated edges in closed form.
+
+    An edge is isolated when it shares at most one vertex with every other
+    edge; its row of Q is then zero off the diagonal.  With S the sum of
+    1/Q_ii over the isolated edges plus 1/mu over the coupled rest (mu its
+    minimum, from :func:`min_lambda_exact`), the minimum is 1/S, each
+    isolated edge weighs (1/Q_ii)/S and the rest carries its own minimiser
+    scaled by (1/mu)/S.  ``iterations`` counts the faces the block
+    enumeration solved, 0 when every edge is isolated.  Needs rational p
+    and no edge of size <= 1 (Q_ii > 0, and Q positive definite so that the
+    point is the unique minimiser)."""
+    edges = h.edges
+    coupled = 0
+    for (i, a), (j, b) in itertools.combinations(enumerate(edges), 2):
+        if popcount(a & b) >= 2:
+            coupled |= 1 << i | 1 << j
+    sizes = [popcount(e) for e in edges]
+    inverse = _inverse_diagonal(sizes, p, exact=True)
+    weights = [inverse[c] for c in sizes]  # isolated edges: x_i = weight / S
+    iterations = 0
+    if coupled:
+        idx = bits_of(coupled)
+        block = min_lambda_exact(Hypergraph(h.n, tuple(edges[i] for i in idx)), p)
+        for i, y in zip(idx, block.witness.weights):
+            weights[i] = y / block.value  # adds 1/mu to S, as sum y = 1
+        iterations = block.iterations
+    total = sum(weights)
+    x = Measure(h, tuple(w / total for w in weights), exact=True)
+    return MinLambdaResult(1 / total, x, Fraction(0), iterations, exact=True)
 
 
 def _frank_wolfe(q: list, max_iter: int, tol: float, target: Optional[float] = None):
@@ -297,10 +346,14 @@ def _query(h: Hypergraph, p, tol: float):
 
 
 def min_lambda(h: Hypergraph, p, tol: float = DEFAULT_TOL) -> MinLambdaResult:
-    """Minimise lambda_p over mass-one measures on h: by the exact
-    enumeration for rational p and at most KKT_EDGE_CAP edges, by
-    Frank-Wolfe otherwise.  Queries that need no solve are settled by
-    :func:`_settled`; the rest are memoised on the canonical edge order."""
+    """Minimise lambda_p over mass-one measures on h: exactly for rational
+    p and at most KKT_EDGE_CAP edges, by Frank-Wolfe otherwise.  The exact
+    path (:func:`_min_lambda_blocks`) solves isolated edges, those sharing
+    at most one vertex with every other edge, in closed form and enumerates
+    KKT supports only over the coupled rest; Q is block-diagonal and has a
+    unique minimiser, so the result is the full enumeration's.  Queries
+    that need no solve are settled by :func:`_settled`; the rest are
+    memoised, one entry per query, on the canonical edge order."""
     settled = _settled(h, p, 1)
     if settled == "NO":
         raise InputError("minimum needs at least one edge")
@@ -313,7 +366,7 @@ def min_lambda(h: Hypergraph, p, tol: float = DEFAULT_TOL) -> MinLambdaResult:
     hit = _cache.get(key)
     if hit is None:
         canon = Hypergraph(h.n, edges)
-        result = min_lambda_exact(canon, p) if exact else min_lambda_fw(canon, float(p), tol)
+        result = _min_lambda_blocks(canon, p) if exact else min_lambda_fw(canon, float(p), tol)
         hit = _cache[key] = (result, edges)
     result, edge_order = hit
     ws = result.witness.weights
@@ -360,21 +413,30 @@ def _unit_witness(h: Hypergraph, exact: bool) -> Measure:
     return Measure.unit_on(h, next(i for i, e in enumerate(h.edges) if popcount(e) <= 1), exact)
 
 
+def _inverse_diagonal(sizes, p, exact: bool) -> dict:
+    """{edge size c: 1/Q_ii} for each distinct size in ``sizes``.  Q_ii =
+    pair_coefficient(|E_i|, p) depends on the size alone, so it is taken
+    once per size; it is > 0 once :func:`_settled` has ruled out edges of
+    size <= 1.  Read by the Cauchy-Schwarz NO of :func:`_diagonal_no` and
+    the closed form of :func:`_min_lambda_blocks`."""
+    return {c: 1 / pair_coefficient(c, p, exact) for c in set(sizes)}
+
+
 def _diagonal_no(h: Hypergraph, p, r) -> bool:
     """True when R >= sum_i 1/Q_ii, a certified NO needing no point.
 
     No overlap coefficient is negative, so lambda_p(x) >= sum_i Q_ii x_i^2,
     at least 1 / sum_i (1/Q_ii) on the simplex by Cauchy-Schwarz (equal
-    when no two edges share two vertices).  Q_ii > 0 once :func:`_settled`
-    has ruled out edges of size <= 1; it is taken once per edge size.
-    Unless p and R are rational, R must clear the sum by a relative margin
-    of DEFAULT_TOL, which covers the rounding of a float sum."""
+    when no two edges share two vertices).  Unless p and R are rational, R
+    must clear the sum by a relative margin of DEFAULT_TOL, which covers
+    the rounding of a float sum."""
     exact = is_rational(p)
     sizes = Counter(popcount(e) for e in h.edges)
-    inverse = sum(k / pair_coefficient(c, p, exact) for c, k in sizes.items())
+    inverse = _inverse_diagonal(sizes, p, exact)
+    total = sum(k * inverse[c] for c, k in sizes.items())
     if exact and is_rational(r):
-        return r >= inverse
-    return r >= (1 + DEFAULT_TOL) * inverse
+        return r >= total
+    return r >= (1 + DEFAULT_TOL) * total
 
 
 def _decide(x: Measure, p, r):

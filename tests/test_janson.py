@@ -122,6 +122,127 @@ class TestMinLambda:
             assert best.value <= lambda_p_subsets(vertex, p)
 
 
+def isolated(h):
+    """Indices of the edges sharing at most one vertex with every other."""
+    return [
+        i for i, a in enumerate(h.edges)
+        if all((a & b).bit_count() <= 1 for j, b in enumerate(h.edges) if j != i)
+    ]
+
+
+@st.composite
+def exact_hosts(draw):
+    """Hosts for the exact path, n <= 9, m <= 8, edges of size 2-4, of
+    three kinds: drawn freely; with no isolated edge (each edge after the
+    first shares two vertices with an earlier one); or with 1-3 isolated
+    edges appended to such a host, each sharing at most one vertex with
+    every edge before it."""
+    kind = draw(st.sampled_from(["free", "coupled", "isolated"]))
+    if kind == "free":
+        return draw(hypergraphs(min_n=2, max_n=9, max_edges=8, min_edge_size=2).filter(
+            lambda h: h.edges
+        ))
+    n = draw(st.integers(4, 9))
+    extra = draw(st.integers(1, 3)) if kind == "isolated" else 0
+    target = draw(st.integers(2, 8 - extra))
+    vertex = st.integers(0, n - 1)
+    edges = [mask_of(draw(st.lists(vertex, min_size=2, max_size=4, unique=True)))]
+    for _ in range(2 * target):
+        if len(edges) == target:
+            break
+        anchor = bits_of(draw(st.sampled_from(edges)))
+        pair = draw(st.lists(st.sampled_from(anchor), min_size=2, max_size=2, unique=True))
+        e = mask_of(pair + draw(st.lists(vertex, max_size=2, unique=True)))
+        if e not in edges and e.bit_count() <= 4:
+            edges.append(e)
+    for _ in range(extra):
+        fits = [
+            e for e in range(1 << n)
+            if 2 <= e.bit_count() <= 4 and all((e & f).bit_count() <= 1 for f in edges)
+        ]
+        if fits:
+            edges.append(draw(st.sampled_from(fits)))
+    return Hypergraph(n, tuple(sorted(edges)))
+
+
+class TestIsolatedEdges:
+    """The exact path solves isolated edges in closed form and enumerates
+    KKT supports only over the coupled rest; the full enumeration
+    min_lambda_exact is the reference."""
+
+    @staticmethod
+    def record_enumerations(monkeypatch):
+        calls = []
+        original = janson.min_lambda_exact
+
+        def recording(h, p):
+            calls.append(h.edges)
+            return original(h, p)
+
+        monkeypatch.setattr(janson, "min_lambda_exact", recording)
+        return calls
+
+    @given(exact_hosts(), st.sampled_from([F(1, 2), F(1, 3), F(1, 4), F(1, 16)]))
+    @example(Hypergraph.from_vertex_lists(6, [[0, 1, 2], [0, 1, 3], [3, 4], [4, 5]]), F(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_full_enumeration(self, h, p):
+        clear_cache()
+        got = min_lambda(h, p)
+        want = min_lambda_exact(h, p)
+        assert got.exact and got.value == want.value
+        assert got.witness.weights == want.witness.weights
+        k = len(h.edges) - len(isolated(h))
+        assert want.iterations == (1 << len(h.edges)) - 1
+        assert got.iterations == (1 << k) - 1
+        assert len(janson._cache) == 1
+
+    @pytest.mark.parametrize(
+        "h",
+        [disjoint_edges(k) for k in (1, 2, 5, 10)]
+        + [
+            Hypergraph.from_vertex_lists(3, [[0, 1], [0, 2], [1, 2]]),
+            single_edge(3),
+            single_edge(4, n=6),
+            # sizes 2, 3 and 4, pairwise sharing one vertex
+            Hypergraph.from_vertex_lists(7, [[0, 1], [1, 2, 3], [3, 4, 5, 6], [0, 2, 4]]),
+        ],
+    )
+    @pytest.mark.parametrize("p", [F(1, 2), F(1, 16), F(2, 3)])
+    def test_all_isolated_makes_no_enumeration(self, monkeypatch, h, p):
+        calls = self.record_enumerations(monkeypatch)
+        clear_cache()
+        res = min_lambda(h, p)
+        assert calls == [] and res.exact and res.iterations == 0
+        inverse = [1 / closed_form(e.bit_count(), p) for e in h.edges]
+        total = sum(inverse)
+        assert res.value == 1 / total
+        assert res.witness.weights == tuple(w / total for w in inverse)
+        assert janson_threshold(h, p) == total
+
+    def test_mixed_host_enumerates_only_its_coupled_block(self, monkeypatch):
+        # {0,1,2} and {0,1,3} share two vertices; {3,4}, {4,5} and {2,6}
+        # share at most one with every edge
+        h = Hypergraph.from_vertex_lists(7, [[3, 4], [0, 1, 2], [4, 5], [0, 1, 3], [2, 6]])
+        p = F(1, 2)
+        calls = self.record_enumerations(monkeypatch)
+        clear_cache()
+        res = min_lambda(h, p)
+        block = (mask_of([0, 1, 2]), mask_of([0, 1, 3]))
+        assert calls == [tuple(sorted(block))] and res.iterations == 3
+        assert len(janson._cache) == 1
+        mu = min_lambda_exact(Hypergraph(7, tuple(sorted(block))), p).value
+        assert 1 / res.value == 3 / closed_form(2, p) + 1 / mu
+        want = min_lambda_exact(h, p)
+        assert res.value == want.value
+        weights = dict(zip(h.edges, res.witness.weights))
+        assert weights == dict(zip(h.edges, want.witness.weights))
+        assert weights[mask_of([3, 4])] == weights[mask_of([4, 5])] == res.value / closed_form(2, p)
+        assert is_janson(h, p, 1 / res.value).answer == "NO"
+        assert is_janson(h, p, (1 - F(1, 10**6)) / res.value).answer == "YES"
+        min_lambda(Hypergraph(7, tuple(reversed(h.edges))), p)  # same query, relabelled
+        assert len(calls) == 1 and len(janson._cache) == 1
+
+
 class TestThreshold:
     def test_single_2edge(self):
         assert janson_threshold(single_edge(2), F(1, 2)) == F(1, 4)
