@@ -24,9 +24,9 @@ def main(seed: int) -> None:
             f"chernoff,|U|={u_size};|S|={s_size},{rep.trials},"
             f"{rep.frequency},{exact},{rep.theory_bound}"
         )
-    for name, pattern, w in [("K2", Graph.complete(2), 0), ("P3", Graph.path(3), 1)]:
+    for name, pattern in [("K2", Graph.complete(2)), ("P3", Graph.path(3))]:
         for m in (8, 10, 12):
-            rep = extension_experiment(pattern, w, m=m, r=2, trials=200, seed=seed)
+            rep = extension_experiment(pattern, m=m, r=2, trials=200, seed=seed)
             print(
                 f"extension-gamma,F={name};m={m},{rep.trials},"
                 f"{rep.frequency},,{rep.theory_bound}"

@@ -35,7 +35,7 @@ from .containers import (
     non_janson_containers,
 )
 from .copies import extension_hypergraph, induced_copy_hypergraph
-from .errors import BudgetError, CertificateViolation, InputError, UndecidedError
+from .errors import BudgetError, InputError, UndecidedError
 from .hypercore import UNIVERSE_CAP, Graph, bits_of
 from .janson import is_janson
 from .ramsey import (
@@ -420,7 +420,6 @@ def cmd_mc(args):
     else:
         report = extension_experiment(
             _graph(cfg.F, "F"),
-            cfg.w,
             cfg.m,
             cfg.r,
             cfg.trials,
@@ -560,9 +559,6 @@ def dispatch(argv) -> int:
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
-    except CertificateViolation as exc:
-        sys.stderr.write(f"certificate violation: {exc}\n")
-        return EXIT_VIOLATION
     except BudgetError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET

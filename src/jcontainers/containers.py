@@ -76,7 +76,6 @@ from .hypercore import (
     bits_of,
     independence_polynomial,
     independent_sets,
-    is_independent,
     mask_of,
     nonstrict_link,
     popcount,
@@ -300,19 +299,6 @@ def _fingerprint_table(sat: list[bool], n: int, counts: list[int]) -> list[int]:
     _fold_pairs(keys, n, _larger, into_subset=False)
     low = (1 << n) - 1
     return [key & low for key in keys]
-
-
-def fingerprint(h: Hypergraph, i_mask: int, q, alpha) -> int:
-    """Fingerprint of an independent set of h, read from the family's
-    one-pass table (see :func:`_fingerprint_table`)."""
-    q = as_fraction(q, "q")
-    alpha = as_fraction(alpha, "alpha")
-    if not 0 < q <= alpha < 1:
-        raise InputError("parameters must satisfy 0 < q <= alpha < 1")
-    if not is_independent(h, i_mask):
-        raise InputError("fingerprints are defined for independent sets only")
-    independent = [not c for c in containment_table(h.n, h.edges)]
-    return _hardcover_core(h.n, independent, q, alpha, False)[0].phi[i_mask]
 
 
 def in_cover(h: Hypergraph, l_mask: int, t_mask: int, q, alpha) -> bool:
@@ -612,8 +598,8 @@ def _verified_pipeline(
     comes from q's integers, since float(q) may be 0."""
     n, s, p, q = h.n, params["s"], params["p"], params["q"]
     minimals = minimal_members(h, is_good)
-    uncertified = [not c for c in containment_table(n, minimals)]
-    fam_hc, _ = _hardcover_core(n, uncertified, q_cover, Fraction(1, 2), False)
+    uncertified_bits = ((1 << (1 << n)) - 1) & ~_up_closure(n, minimals)
+    fam_hc, _ = _hardcover_core(n, _bools(uncertified_bits, n), q_cover, Fraction(1, 2), False)
     family = PipelineFamily(h, params, (), minimals)
     containers = set()
     for t_mask in fam_hc.fingerprints:
@@ -622,8 +608,6 @@ def _verified_pipeline(
         family.incomplete.extend(f"T={t_mask:b}: {msg}" for msg in oracle.incomplete)
         containers.update(oracle.psi.values())
     family.containers = tuple(sorted(containers))
-    # the up-set once more, as a bitset: a few minimal members, n shift-ors
-    uncertified_bits = ((1 << (1 << n)) - 1) & ~_up_closure(n, minimals)
     covered = _down_closure(n, family.containers)
     for l_mask in _ascending(uncertified_bits & ~covered):
         msg = f"uncovered {what} set {l_mask:b}"

@@ -194,26 +194,6 @@ def extension_hypergraph(
     return ExtensionHypergraph(Hypergraph(2 * m, tuple(sorted(edges))), m)
 
 
-def iota(g_prime: Graph, g: Graph, u_mask: int, v: int) -> int:
-    """The two-layer vertex set indexing (G', G) at v: layer 0 holds the
-    non-neighbours of v in G within U, layer 1 the G'-neighbours.
-
-    U is relabelled ascending onto [0, m); the result is a bitmask on the
-    two-layer universe [0, 2m)."""
-    _check_pair(g_prime, g)
-    if u_mask >> v & 1:
-        raise InputError("v must lie outside U")
-    verts = bits_of(u_mask)
-    m = len(verts)
-    out = 0
-    for i, u in enumerate(verts):
-        if not g.adj[v] >> u & 1:
-            out |= 1 << i
-        if g_prime.adj[v] >> u & 1:
-            out |= 1 << (i + m)
-    return out
-
-
 def extend_copies(ext: ExtensionHypergraph, i_mask: int, v: int) -> Hypergraph:
     """Copies of the full pattern through v certified by the index set I:
     project the edges of the extension hypergraph inside I and adjoin v."""

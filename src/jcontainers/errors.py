@@ -3,7 +3,7 @@
 Exit-code mapping used by the CLI: InputError -> 2, BudgetError -> 3,
 UndecidedError -> 4, any other exception -> 5 (internal error).  Theorem
 violations are reported in-band (families carry a ``violations`` list) and
-map to exit code 1, as does a CertificateViolation.
+map to exit code 1.
 """
 
 
@@ -33,7 +33,3 @@ class UndecidedError(RuntimeError):
     def __init__(self, message, detail=None):
         super().__init__(message)
         self.detail = detail
-
-
-class CertificateViolation(RuntimeError):
-    """A quantity that a certificate promises to be nonzero vanished."""

@@ -245,23 +245,10 @@ class VertexMap:
 
 
 def project(h: Hypergraph, pi: VertexMap) -> Hypergraph:
-    """Image hypergraph {pi(E)}, deduplicated and sorted.  Pre-image counts,
-    which the measure pullback needs, come from :func:`preimage_counts`."""
+    """Image hypergraph {pi(E)}, deduplicated and sorted."""
     if pi.n_source != h.n:
         raise InputError("projection domain must match the hypergraph universe")
     return Hypergraph(pi.n_target, tuple(sorted({pi.apply_mask(e) for e in h.edges})))
-
-
-def preimage_counts(h: Hypergraph, pi: VertexMap) -> dict[int, int]:
-    """For each image edge of project(h, pi), the number of h-edges mapping
-    onto it."""
-    if pi.n_source != h.n:
-        raise InputError("projection domain must match the hypergraph universe")
-    counts: dict[int, int] = {}
-    for e in h.edges:
-        img = pi.apply_mask(e)
-        counts[img] = counts.get(img, 0) + 1
-    return counts
 
 
 DEFAULT_ENUM_CAP = 25
@@ -296,10 +283,6 @@ def independent_sets(h: Hypergraph) -> Iterator[int]:
     # Recursion over v = n-1 .. 0 with "exclude first" emits masks in
     # increasing integer order because the highest bit dominates.
     yield from rec(h.n - 1, 0)
-
-
-def is_independent(h: Hypergraph, mask: int) -> bool:
-    return all(e & ~mask != 0 for e in h.edges)
 
 
 def independence_polynomial(h: Hypergraph, x: int, y: int, forced: int = 0) -> int:

@@ -47,46 +47,23 @@ R* = 0 and only the R = 0 convention applies.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import BudgetError, InputError, UndecidedError
-from .hypercore import Hypergraph, bits_of, mask_of, popcount, restrict_edges
-from .measures import (
-    Measure,
-    add,
-    degree,
-    is_rational,
-    lambda_p,
-    mass,
-    overlap_sums,
-    pair_coefficient,
-    scale,
-)
-from .prng import SplitMix64
+from .hypercore import Hypergraph, bits_of, popcount
+from .measures import Measure, is_rational, overlap_sums, pair_coefficient
 
 KKT_EDGE_CAP = 10  # exact path enumerates up to 2^m - 1 support patterns
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10**6
 BRACKET_MAX_ITER = 1000  # require_verdict's Frank-Wolfe; past it, enumerate
-WITNESS_MAX_ROUNDS = 200  # blend-and-restrict rounds of bounded_degree_witness
-PRECONDITION_BUDGET = 20000  # its hypothesis checks: enumerated up to this, then sampled
 _GRID = 1 << 48
 
 INF = float("inf")
-
-
-class HypothesisViolation(InputError):
-    """The every-large-subset Janson hypothesis failed; carries the subset."""
-
-    def __init__(self, message, w_mask=None, verdict=None):
-        super().__init__(message)
-        self.w_mask = w_mask
-        self.verdict = verdict
 
 
 @dataclass(frozen=True)
@@ -554,160 +531,3 @@ def _bracket_verdict(h: Hypergraph, p, r):
     answer = _decide(x, p, r)[0]
     decided = _brackets[key] = {"YES": True, "NO": False}.get(answer)
     return decided
-
-
-# ---------------------------------------------------------------------------
-# Bounded-degree witnesses
-
-
-def _witness_mass_one(h: Hypergraph, p, r, context) -> Measure:
-    verdict = is_janson(h, p, r)
-    if verdict.answer != "YES":
-        raise HypothesisViolation(
-            f"{context}: expected a YES verdict, got {verdict.answer}",
-            verdict=verdict,
-        )
-    return verdict.witness
-
-
-def bounded_degree_witness(
-    h: Hypergraph,
-    p,
-    r,
-    beta,
-    seed: int = 0,
-):
-    """Witness with mass sqrt(R), lambda below mass^2 / R, and
-    sum_v d(v)^2 <= 2 s^2 mass^2 / (beta v(h)).
-
-    Hypothesis: every induced sub-hypergraph on at least (1 - beta) v(h)
-    vertices is (p, R)-Janson.  Checking the minimum size suffices because
-    the property only improves under adding vertices; subsets are enumerated
-    up to ``PRECONDITION_BUDGET`` and sampled beyond it.
-
-    The construction follows the blend-and-restrict scheme: starting from an
-    optimal witness, repeatedly solve on the low-degree vertex set
-    W = {v : d(v) <= s * mass / (beta v(h))} and blend with step
-    tau = min(1, 1/(beta v(h))) / 2 until the degree-square bound holds.
-    All arithmetic runs on mass-one measures; the returned measure is the
-    final witness scaled to mass sqrt(R).
-    """
-    s = h.uniformity()
-    if s is None:
-        raise InputError("bounded-degree witnesses need an s-uniform hypergraph")
-    if s <= 1:
-        raise InputError("uniformity must be at least 2")
-    if not 0 < beta < 1:
-        raise InputError("beta must lie in (0, 1)")
-    if r <= 0:
-        raise InputError("R must be positive")
-    nverts = h.n
-    w_size = math.ceil((1 - beta) * nverts)
-
-    if math.comb(nverts, w_size) <= PRECONDITION_BUDGET:
-        w_masks = map(mask_of, itertools.combinations(range(nverts), w_size))
-    else:
-        rng = SplitMix64(seed)
-        w_masks = (rng.sample_mask(nverts, w_size) for _ in range(PRECONDITION_BUDGET))
-    for w_mask in w_masks:
-        sub = restrict_edges(h, w_mask)
-        verdict = is_janson(sub, p, r)
-        if verdict.answer != "YES":
-            raise HypothesisViolation(
-                f"induced sub-hypergraph on {bits_of(w_mask)} is not certified (p, R)-Janson "
-                f"(verdict {verdict.answer})",
-                w_mask=w_mask,
-                verdict=verdict,
-            )
-
-    nu = _witness_mass_one(h, p, r, "initial witness").to_float()
-    target = 2.0 * s * s / (beta * nverts)  # mass-one form of the bound
-    tau = min(1.0, 1.0 / (beta * nverts)) / 2.0
-    cutoff = s / (beta * nverts)
-    for _ in range(WITNESS_MAX_ROUNDS):
-        degrees = [float(degree(nu, 1 << v)) for v in range(nverts)]
-        if sum(d**2 for d in degrees) <= target:
-            break
-        w_mask = mask_of(v for v, d in enumerate(degrees) if d <= cutoff)
-        sub = restrict_edges(h, w_mask)
-        if not sub.edges:
-            raise HypothesisViolation(
-                "low-degree vertex set spans no edges", w_mask=w_mask
-            )
-        nu_prime_sub = _witness_mass_one(sub, p, r, "restricted witness").to_float()
-        weight_of = dict(zip(sub.edges, nu_prime_sub.weights))
-        nu_prime = Measure(
-            h, tuple(weight_of.get(e, 0.0) for e in h.edges), exact=False
-        )
-        nu = add(scale(nu, 1.0 - tau), scale(nu_prime, tau))
-    else:
-        raise BudgetError(f"degree bound not reached within {WITNESS_MAX_ROUNDS} rounds")
-
-    return scale(nu, math.sqrt(float(r)))
-
-
-# ---------------------------------------------------------------------------
-# Witness aggregation
-
-
-@dataclass(frozen=True)
-class AggregationReport:
-    total_mass: object
-    lambda_total: object
-    lambda_parts: tuple
-    max_shared: int  # max over L of the number of supports containing L
-    bound: object  # max_shared * sum of per-part lambdas
-    chain_holds: bool
-
-
-def aggregate_witnesses(
-    family: Sequence[tuple[int, Measure]], host: Hypergraph, p
-) -> tuple[Measure, AggregationReport]:
-    """Sum per-subset unit-mass witnesses and check the shared-overlap chain
-    lambda(sum) <= max_L #{S : L inside S} * sum of lambdas."""
-    if not family:
-        raise InputError("aggregation needs at least one witness")
-    exact = family[0][1].exact
-    for s_mask, nu in family:
-        if nu.host != host or nu.exact != exact:
-            raise InputError("witnesses must share the host and arithmetic mode")
-        for e, w in zip(host.edges, nu.weights):
-            if w > 0 and e & ~s_mask:
-                raise InputError("witness weight outside its subset's edges")
-        m = mass(nu)
-        if exact and m != 1:
-            raise InputError("witnesses must be normalised to mass one")
-        if not exact and abs(m - 1.0) > 1e-9:
-            raise InputError("witnesses must be normalised to mass one")
-
-    total = Measure.zero(host, exact)
-    for _, nu in family:
-        total = add(total, nu)
-
-    parts = tuple(lambda_p(nu, p) for _, nu in family)
-    lam_total = lambda_p(total, p)
-
-    # #{S : L inside S} only falls as L grows, so its maximum over the L
-    # with |L| >= 2 inside a positive-weight edge sits on a pair
-    pairs = {
-        (1 << u) | (1 << v)
-        for e, w in zip(host.edges, total.weights)
-        if w > 0
-        for u, v in itertools.combinations(bits_of(e), 2)
-    }
-    max_shared = max(
-        (sum(1 for s_mask, _ in family if l_mask & ~s_mask == 0) for l_mask in pairs),
-        default=0,
-    )
-
-    bound = max_shared * sum(parts, Fraction(0) if exact else 0.0)
-    slack = 0 if exact else 1e-9 * max(1.0, abs(float(bound)))
-    report = AggregationReport(
-        total_mass=mass(total),
-        lambda_total=lam_total,
-        lambda_parts=parts,
-        max_shared=max_shared,
-        bound=bound,
-        chain_holds=bool(lam_total <= bound + slack),
-    )
-    return total, report

@@ -27,19 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
 
-from .errors import BudgetError, CertificateViolation, InputError
-from .hypercore import (
-    Hypergraph,
-    VertexMap,
-    bits_of,
-    edgewise_include,
-    popcount,
-    preimage_counts,
-    project,
-    submasks,
-)
+from .errors import BudgetError, InputError
+from .hypercore import Hypergraph, popcount, submasks
 
 SUBSET_EDGE_CAP = 20  # algorithm A enumerates 2^|E| submasks per edge
 
@@ -103,37 +93,6 @@ class Measure:
         if not self.exact:
             return self
         return Measure(self.host, tuple(float(w) for w in self.weights), exact=False)
-
-
-def _same_host(a: Measure, b: Measure):
-    if a.host != b.host or a.exact != b.exact:
-        raise InputError("measures must share host and arithmetic mode")
-
-
-def mass(m: Measure):
-    return sum(m.weights, Fraction(0) if m.exact else 0.0)
-
-
-def degree(m: Measure, l_mask: int):
-    """Total weight of edges containing L."""
-    if l_mask & ~((1 << m.host.n) - 1):
-        raise InputError("L contains a vertex outside the universe")
-    total = Fraction(0) if m.exact else 0.0
-    for e, w in zip(m.host.edges, m.weights):
-        if l_mask & ~e == 0:
-            total += w
-    return total
-
-
-def degree_square_sum(m: Measure):
-    """Sum over single vertices u of d({u})^2.  Size-1 sets are excluded from
-    lambda_p by definition but this sum appears in the vertex-extension
-    identity, so it is exposed separately."""
-    total = Fraction(0) if m.exact else 0.0
-    for u in range(m.host.n):
-        d = degree(m, 1 << u)
-        total += d * d
-    return total
 
 
 def lambda_p_subsets(m: Measure, p):
@@ -202,70 +161,3 @@ def lambda_p(m: Measure, p):
 
 
 lambda_p_pairwise = lambda_p  # the name perfbench/spans.py traces
-
-
-def pullback(theta: Measure, h: Hypergraph, pi: VertexMap) -> Measure:
-    """Transport a measure on project(h, pi) back to h, splitting each image
-    edge's weight equally over its pre-image edges.  Mass is preserved."""
-    image = project(h, pi)
-    if theta.host != image:
-        raise InputError("pullback source must be hosted on project(h, pi)")
-    counts = preimage_counts(h, pi)
-    weight_of = dict(zip(theta.host.edges, theta.weights))
-    ws = []
-    for e in h.edges:
-        img = pi.apply_mask(e)
-        ws.append(weight_of[img] / counts[img])
-    return Measure(h, tuple(ws), theta.exact)
-
-
-def extend_by_vertex(m: Measure, v: int) -> Measure:
-    """Transport weights edge-to-edge onto the host with v added everywhere."""
-    new_host = edgewise_include(m.host, v)
-    # edgewise_include sorts its output; realign weights with the new order
-    order = {e | (1 << v): w for e, w in zip(m.host.edges, m.weights)}
-    return Measure(new_host, tuple(order[e] for e in new_host.edges), m.exact)
-
-
-def reweight_restrict(m: Measure, a_mask: int, probs: Sequence | Callable) -> Measure:
-    """Weight nu(E) * [E inside A] / P(E), the survival-reweighted restriction
-    of a random vertex set A: when E lies inside A with probability P(E),
-    its expectation is nu.  A construction of the paper kept as a library
-    function; no pipeline or experiment here calls it.  P(E) = 0 on a
-    surviving positive-weight edge is a certificate violation."""
-    if callable(probs):
-        pvals = [probs(e) for e in m.host.edges]
-    else:
-        pvals = list(probs)
-        if len(pvals) != len(m.host.edges):
-            raise InputError("per-edge probabilities must be total on the host")
-    ws = []
-    zero = Fraction(0) if m.exact else 0.0
-    for e, w, pe in zip(m.host.edges, m.weights, pvals):
-        if e & ~a_mask:
-            ws.append(zero)
-            continue
-        if w == 0:
-            ws.append(zero)
-            continue
-        if pe == 0:
-            raise CertificateViolation(
-                f"edge {bits_of(e)} survives with weight {w} but P(E) = 0"
-            )
-        ws.append(w / pe)
-    return Measure(m.host, tuple(ws), m.exact)
-
-
-def add(a: Measure, b: Measure) -> Measure:
-    _same_host(a, b)
-    return Measure(a.host, tuple(x + y for x, y in zip(a.weights, b.weights)), a.exact)
-
-
-def scale(m: Measure, t) -> Measure:
-    if t < 0:
-        raise InputError("scale factor must be nonnegative")
-    if m.exact:
-        t = Fraction(t)
-    else:
-        t = float(t)
-    return Measure(m.host, tuple(w * t for w in m.weights), m.exact)

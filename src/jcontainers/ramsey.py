@@ -1,5 +1,5 @@
 """Desk-scale experimental harness: random hosts, arrows tests, the
-colouring events, maximal tuples, and Monte-Carlo replications.
+colouring events, and Monte-Carlo replications.
 
 Everything here is exhaustively checkable or explicitly budgeted.  The
 headline constants (C = 300, delta = r^-50, p = 2^-25 k^-2 r^-4) make every
@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .copies import induced_copy_hypergraph
 from .errors import BudgetError, InputError, UndecidedError
-from .hypercore import Coloring, Graph, Hypergraph, bits_of, mask_of, popcount, restrict_edges
+from .hypercore import Coloring, Graph, Hypergraph, bits_of, popcount
 from .janson import require_verdict
 from .measures import as_fraction
 from .prng import SplitMix64
@@ -53,7 +53,6 @@ class ExperimentConfig:
     usize: int = 8
     ssize: int = 32
     F: str = "P3"
-    w: int = 0
     kind: str = "gamma"
     colorings: int = 8
     Rprime: Fraction = Fraction(0)
@@ -393,80 +392,6 @@ def check_event_inductive(
 
 
 # ---------------------------------------------------------------------------
-# Maximal tuples
-
-
-@dataclass
-class MaximalTuple:
-    u_mask: int
-    gains: tuple  # R_i per colour
-    verified_floor: bool  # property (a) re-verified
-    verified_ceiling: bool  # property (b) re-verified on every leftover vertex
-    notes: list = field(default_factory=list)
-
-
-def find_maximal_tuple(
-    g: Graph,
-    s_mask: int,
-    coloring: Coloring,
-    targets: Sequence[Graph],
-    p,
-    delta: float,
-) -> MaximalTuple:
-    """Greedy growth of a vertex set whose per-colour copy hypergraphs carry
-    increasing thresholds: start from the first ceil(delta N) vertices of S,
-    repeatedly add any vertex raising some colour's parameter by one, then
-    re-verify both the achieved levels and their non-extendability."""
-    r = len(targets)
-    n = g.n
-    base = max(1, math.ceil(delta * n))
-    s_verts = bits_of(s_mask)
-    if len(s_verts) < base:
-        raise InputError("S is smaller than the required starting size")
-    u_mask = mask_of(s_verts[:base])
-    gains = [0] * r
-    # each colour's copy hypergraph, built once; a window keeps its edges
-    # inside the mask
-    copies = [
-        induced_copy_hypergraph(target, coloring.color_subgraph(g, i), g).hyper
-        for i, target in enumerate(targets, start=1)
-    ]
-
-    notes = []
-    grown = True
-    while grown:
-        grown = False
-        for v in bits_of(s_mask & ~u_mask):
-            cand = u_mask | (1 << v)
-            for i in range(r):
-                if require_verdict(
-                    restrict_edges(copies[i], cand), p, gains[i] + 1,
-                    context=f"growth step colour {i + 1}",
-                ):
-                    u_mask = cand
-                    gains[i] += 1
-                    grown = True
-                    break
-            if grown:
-                break
-
-    floor_ok = all(
-        require_verdict(restrict_edges(copies[i], u_mask), p, gains[i], context="floor check")
-        for i in range(r)
-    )
-    ceiling_ok = True
-    for v in bits_of(s_mask & ~u_mask):
-        cand = u_mask | (1 << v)
-        for i in range(r):
-            if require_verdict(
-                restrict_edges(copies[i], cand), p, gains[i] + 1, context="ceiling check"
-            ):
-                ceiling_ok = False
-                notes.append(f"vertex {v} still raises colour {i + 1}")
-    return MaximalTuple(u_mask, tuple(gains), floor_ok, ceiling_ok, notes)
-
-
-# ---------------------------------------------------------------------------
 # Monte-Carlo experiments
 
 
@@ -533,49 +458,8 @@ def chernoff_experiment(
     )
 
 
-def simultaneous_arrows_observation(
-    n: int, r: int, trials: int, seed: int, budget: int = 1 << 20
-) -> FrequencyReport:
-    """Observational only: how often a sampled host arrows every pattern on
-    three vertices simultaneously.  At this scale the success probability is
-    tiny (the patterns pull the host in opposite directions), so the report
-    records the frequency without asserting anything about it."""
-    patterns = [
-        Graph.empty(3),
-        Graph.from_edges(3, [(0, 1)]),
-        Graph.path(3),
-        Graph.complete(3),
-    ]
-    rng = SplitMix64(seed)
-    successes = 0
-    rows = []
-    for t in range(trials):
-        g = sample_gnhalf(n, rng.next_u64())
-        hit = True
-        count = 0
-        for h in patterns:
-            if arrows_induced(g, h, r, budget=budget):
-                count += 1
-            else:
-                hit = False
-                break
-        successes += hit
-        rows.append((t, seed, int(hit), count))
-    return FrequencyReport(
-        "simultaneous-arrows",
-        trials,
-        successes,
-        successes / trials if trials else 0.0,
-        None,
-        1.0,
-        rows,
-        notes=["observational: no bound is asserted at this scale"],
-    )
-
-
 def extension_experiment(
     f: Graph,
-    w: int,
     m: int,
     r: int,
     trials: int,

@@ -833,12 +833,13 @@ class TestConfig:
         assert cfg.r == 2 and cfg.k == 3
 
     def test_c_is_an_unknown_key(self, tmp_path, capsys):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("C = 5\ntrials = 2\n")
-        argv = ["ramsey", "mc", "--experiment", "chernoff", "--config", str(cfg)]
-        assert dispatch(argv) == 2
-        captured = capsys.readouterr()
-        assert "line 1: unknown key 'C'" in captured.err and captured.out == ""
+        for key in ("C", "w"):
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(f"{key} = 5\ntrials = 2\n")
+            argv = ["ramsey", "mc", "--experiment", "chernoff", "--config", str(cfg)]
+            assert dispatch(argv) == 2
+            captured = capsys.readouterr()
+            assert f"line 1: unknown key '{key}'" in captured.err and captured.out == ""
 
     def test_every_config_key_is_a_field(self):
         names = {f.name for f in dataclasses.fields(ExperimentConfig)}

@@ -22,7 +22,6 @@ from jcontainers.containers import (
     containment_table,
     cover_certificate,
     extension_containers,
-    fingerprint,
     hardcover_family,
     minimal_members,
     non_janson_containers,
@@ -35,7 +34,6 @@ from jcontainers.hypercore import (
     Graph,
     Hypergraph,
     independent_sets,
-    is_independent,
     mask_of,
     popcount,
     restrict_edges,
@@ -45,6 +43,7 @@ from jcontainers.prng import SplitMix64
 
 from conftest import hypergraphs
 from oracles import or_fold
+from paper import fingerprint, is_independent
 
 
 def random_hypergraph(rng, n, max_edges, sizes=(2, 3)):

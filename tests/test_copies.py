@@ -10,7 +10,6 @@ from jcontainers.copies import (
     extend_copies,
     extension_hypergraph,
     induced_copy_hypergraph,
-    iota,
     least_isomorphism,
 )
 from jcontainers.errors import InputError
@@ -18,13 +17,14 @@ from jcontainers.hypercore import (
     Graph,
     Hypergraph,
     bits_of,
-    is_independent,
     mask_of,
     popcount,
     project,
     restrict_edges,
 )
 from jcontainers.prng import SplitMix64
+
+from paper import iota, is_independent
 
 
 def random_host_pair(rng, m):

@@ -21,7 +21,6 @@ import pytest
 from jcontainers import janson
 from jcontainers.containers import (
     extension_containers,
-    fingerprint,
     hardcover_family,
     non_janson_containers,
     uniform_container_oracle,
@@ -37,6 +36,8 @@ from jcontainers.ramsey import (
     find_bad_coloring,
     sample_gnhalf,
 )
+
+from paper import fingerprint
 
 
 def _hypergraph(rng, n, m, sizes):

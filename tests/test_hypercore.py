@@ -13,17 +13,16 @@ from jcontainers.hypercore import (
     edgewise_include,
     independence_polynomial,
     independent_sets,
-    is_independent,
     mask_of,
     nonstrict_link,
     popcount,
-    preimage_counts,
     project,
     restrict_edges,
 )
 from jcontainers.containers import upset_slice
 
 from conftest import hypergraphs, mask
+from paper import is_independent, preimage_counts
 
 
 class TestGraph:

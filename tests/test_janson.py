@@ -10,9 +10,6 @@ from jcontainers import janson
 from jcontainers.errors import InputError
 from jcontainers.hypercore import Hypergraph, bits_of, mask_of, restrict_edges
 from jcontainers.janson import (
-    HypothesisViolation,
-    aggregate_witnesses,
-    bounded_degree_witness,
     clear_cache,
     dual_lower_bound,
     is_janson,
@@ -23,18 +20,19 @@ from jcontainers.janson import (
     overlap_matrix,
     require_verdict,
 )
-from jcontainers.measures import (
-    Measure,
+from jcontainers.measures import Measure, lambda_p, lambda_p_subsets
+from jcontainers.prng import SplitMix64
+
+import paper
+from conftest import hypergraphs, rational_weights
+from paper import (
+    HypothesisViolation,
+    aggregate_witnesses,
+    bounded_degree_witness,
     degree,
-    lambda_p,
-    lambda_p_pairwise,
-    lambda_p_subsets,
     mass,
     scale,
 )
-from jcontainers.prng import SplitMix64
-
-from conftest import hypergraphs, rational_weights
 
 
 def single_edge(size, n=None):
@@ -101,7 +99,7 @@ class TestMinLambda:
         if not h.edges:
             return
         res = min_lambda(h, F(1, 2))
-        assert lambda_p_pairwise(res.witness, F(1, 2)) == res.value
+        assert lambda_p(res.witness, F(1, 2)) == res.value
 
     @pytest.mark.parametrize("seed", range(12))
     def test_exact_minimum_is_the_witness_value(self, seed):
@@ -327,7 +325,7 @@ class TestVerdicts:
 
         def uniform_point(host, p):
             x = Measure(host, (F(1, 4),) * 4)
-            return janson.MinLambdaResult(lambda_p_pairwise(x, p), x, F(0), 16, True)
+            return janson.MinLambdaResult(lambda_p(x, p), x, F(0), 16, True)
 
         clear_cache()
         monkeypatch.setattr(janson, "min_lambda_exact", uniform_point)
@@ -413,7 +411,7 @@ class TestBoundedDegreeWitness:
         matching = [mask_of((v, v + 1)) for v in range(2, n, 2)]
         h = Hypergraph(n, tuple(sorted(star + matching)))
         solved = []
-        witness = janson._witness_mass_one
+        witness = paper._witness_mass_one
 
         def start_on_one_edge(sub, p, r, context):
             solved.append(context)
@@ -421,7 +419,7 @@ class TestBoundedDegreeWitness:
                 return Measure.unit_on(sub, 0)
             return witness(sub, p, r, context)
 
-        monkeypatch.setattr(janson, "_witness_mass_one", start_on_one_edge)
+        monkeypatch.setattr(paper, "_witness_mass_one", start_on_one_edge)
         mu = bounded_degree_witness(h, 0.5, r, beta, seed=0)
         assert solved == ["initial witness", "restricted witness"]
         tau = 1 / (beta * n) / 2
@@ -433,11 +431,11 @@ class TestBoundedDegreeWitness:
         dsq = sum(float(degree(mu, 1 << v)) ** 2 for v in range(n))
         assert dsq <= 2 * 4 * mass(mu) ** 2 / (beta * n)
 
-    @pytest.mark.parametrize("budget", [janson.PRECONDITION_BUDGET, 5])
+    @pytest.mark.parametrize("budget", [paper.PRECONDITION_BUDGET, 5])
     def test_violation_lists_the_subset_ascending(self, budget, monkeypatch):
         # C(8, 4) = 70 subsets: enumerated under the default budget, sampled
         # under a budget of 5
-        monkeypatch.setattr(janson, "PRECONDITION_BUDGET", budget)
+        monkeypatch.setattr(paper, "PRECONDITION_BUDGET", budget)
         h = single_edge(2, n=8)
         with pytest.raises(HypothesisViolation) as exc:
             bounded_degree_witness(h, 0.5, 0.2, 0.5, seed=0)
@@ -598,7 +596,7 @@ class TestOverlapAndDualBound:
             return
         x = Measure(h, tuple(F(v, sum(raw)) for v in raw))
         bound = dual_lower_bound(x, p)
-        assert bound <= best.value <= lambda_p_pairwise(x, p)
+        assert bound <= best.value <= lambda_p(x, p)
         assert dual_lower_bound(x.to_float(), p) == pytest.approx(float(bound), rel=1e-9, abs=1e-12)
 
     @given(hypergraphs(min_n=2, max_n=7, max_edges=8), st.data())

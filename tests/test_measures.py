@@ -4,24 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jcontainers.errors import BudgetError, CertificateViolation, InputError
+from jcontainers.errors import BudgetError, InputError
 from jcontainers.hypercore import Hypergraph, VertexMap, popcount, project
-from jcontainers.measures import (
-    Measure,
+from jcontainers.measures import Measure, lambda_p, lambda_p_pairwise, lambda_p_subsets
+
+from conftest import hypergraphs, mask, rational_weights
+from paper import (
+    CertificateViolation,
     add,
     degree,
     degree_square_sum,
     extend_by_vertex,
-    lambda_p,
-    lambda_p_pairwise,
-    lambda_p_subsets,
     mass,
     pullback,
     reweight_restrict,
     scale,
 )
-
-from conftest import hypergraphs, mask, rational_weights
 
 
 @st.composite
@@ -81,7 +79,7 @@ class TestLambda:
         h = Hypergraph.from_vertex_lists(2, [[0, 1]])
         m = Measure(h, (F(1),))
         assert lambda_p_subsets(m, F(1, 2)) == 4
-        assert lambda_p_pairwise(m, F(1, 2)) == 4
+        assert lambda_p(m, F(1, 2)) == 4
 
     def test_two_disjoint_edges_split(self):
         h = Hypergraph.from_vertex_lists(4, [[0, 1], [2, 3]])
@@ -99,21 +97,20 @@ class TestLambda:
         m = Measure(h, (1.0,), exact=False)
         with pytest.raises(BudgetError):
             lambda_p_subsets(m, 0.5)
-        assert lambda_p_pairwise(m, 0.5) > 0  # pairwise has no cap
-        assert lambda_p(m, 0.5) == lambda_p_pairwise(m, 0.5)
+        assert lambda_p(m, 0.5) > 0  # pairwise has no cap
         assert lambda_p is lambda_p_pairwise  # algorithm B under both names
 
     @given(measured(), small_p)
     @settings(max_examples=80, deadline=None)
     def test_algorithms_agree_exactly(self, m, p):
-        assert lambda_p_subsets(m, p) == lambda_p_pairwise(m, p)
+        assert lambda_p_subsets(m, p) == lambda_p(m, p)
 
     @given(measured(max_n=6, max_edges=4), small_p)
     @settings(max_examples=50, deadline=None)
     def test_matches_naive_enumeration_over_all_vertex_sets(self, m, p):
         # third route: walk every vertex subset of the universe directly
         from fractions import Fraction
-        from jcontainers.measures import degree
+        from paper import degree
 
         total = Fraction(0)
         for l_mask in range(1, 1 << m.host.n):

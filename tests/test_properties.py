@@ -17,10 +17,12 @@ from jcontainers.janson import (
     min_lambda_fw,
     require_verdict,
 )
-from jcontainers.measures import lambda_p_pairwise, mass, pair_coefficient
+from jcontainers.measures import lambda_p, pair_coefficient
 from jcontainers.prng import SplitMix64
 from jcontainers.ramsey import check_event_inductive
 from jcontainers.hypercore import Graph
+
+from paper import mass
 
 
 def random_hypergraph(rng, n, edges, sizes):
@@ -63,7 +65,7 @@ class TestSolverCrossChecks:
         b = min_lambda(other, F(1, 2))
         assert a.value == b.value
         # witnesses align with their host's edge order
-        assert lambda_p_pairwise(b.witness, F(1, 2)) == b.value
+        assert lambda_p(b.witness, F(1, 2)) == b.value
         assert mass(b.witness) == 1
 
 
@@ -243,7 +245,8 @@ class TestExtensionPipelineWithPositiveBase:
 class TestFloatModePullback:
     def test_lambda_contracts_within_float_slack(self):
         from jcontainers.hypercore import VertexMap, project
-        from jcontainers.measures import Measure, lambda_p, pullback
+        from jcontainers.measures import Measure
+        from paper import pullback
 
         rng = SplitMix64(606)
         for _ in range(30):

@@ -21,10 +21,11 @@ from jcontainers.ramsey import (
     chernoff_experiment,
     extension_experiment,
     find_bad_coloring,
-    find_maximal_tuple,
     sample_gnhalf,
 )
 from jcontainers.prng import SplitMix64
+
+from paper import find_maximal_tuple
 
 
 class TestConfig:
@@ -419,7 +420,7 @@ class TestUndecidedQueries:
     def test_omega_experiment_skips_indeterminate_queries(self, monkeypatch):
         contexts = undecided_verdicts(monkeypatch)
         report = extension_experiment(
-            Graph.path(3), 1, m=6, r=2, trials=10, seed=8,
+            Graph.path(3), m=6, r=2, trials=10, seed=8,
             kind="omega", p=F(1, 5), r_prime=F(1, 100),
         )
         assert contexts and set(contexts) == {"omega event"}
@@ -520,29 +521,29 @@ class TestChernoff:
 class TestExtensionExperiment:
     def test_k2_gamma_impossible(self):
         # any kept edge at the fresh vertex is already an induced copy
-        report = extension_experiment(Graph.complete(2), 0, m=8, r=2, trials=30, seed=4)
+        report = extension_experiment(Graph.complete(2), m=8, r=2, trials=30, seed=4)
         assert report.successes == 0
 
     def test_zero_trials_empty_report(self):
-        report = extension_experiment(Graph.path(3), 1, m=8, r=2, trials=0, seed=4)
+        report = extension_experiment(Graph.path(3), m=8, r=2, trials=0, seed=4)
         assert report.rows == [] and report.trials == 0
 
     def test_frozen_frequency_fixture(self):
         # regression pin for the documented generator and search order
-        report = extension_experiment(Graph.path(3), 1, m=8, r=2, trials=40, seed=12)
-        again = extension_experiment(Graph.path(3), 1, m=8, r=2, trials=40, seed=12)
+        report = extension_experiment(Graph.path(3), m=8, r=2, trials=40, seed=12)
+        again = extension_experiment(Graph.path(3), m=8, r=2, trials=40, seed=12)
         assert report.rows == again.rows
         assert report.successes == sum(o for _, _, o, _ in report.rows)
 
     def test_size_caps(self):
         with pytest.raises(InputError):
-            extension_experiment(Graph.path(3), 1, m=17, r=2, trials=1, seed=0)
+            extension_experiment(Graph.path(3), m=17, r=2, trials=1, seed=0)
         with pytest.raises(InputError):
-            extension_experiment(Graph.path(3), 1, m=8, r=4, trials=1, seed=0)
+            extension_experiment(Graph.path(3), m=8, r=4, trials=1, seed=0)
 
     def test_omega_variant_runs(self):
         report = extension_experiment(
-            Graph.path(3), 1, m=6, r=2, trials=10, seed=8,
+            Graph.path(3), m=6, r=2, trials=10, seed=8,
             kind="omega", p=F(1, 5), r_prime=F(1, 100),
         )
         assert report.trials == 10
@@ -550,12 +551,12 @@ class TestExtensionExperiment:
 
     def test_omega_requires_parameters(self):
         with pytest.raises(InputError):
-            extension_experiment(Graph.path(3), 1, m=6, r=2, trials=1, seed=0, kind="omega")
+            extension_experiment(Graph.path(3), m=6, r=2, trials=1, seed=0, kind="omega")
 
 
 class TestSimultaneousArrows:
     def test_observation_runs_and_reproduces(self):
-        from jcontainers.ramsey import simultaneous_arrows_observation
+        from paper import simultaneous_arrows_observation
 
         a = simultaneous_arrows_observation(8, 2, trials=4, seed=21)
         b = simultaneous_arrows_observation(8, 2, trials=4, seed=21)

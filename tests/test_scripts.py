@@ -1,9 +1,11 @@
+import ast
 import importlib
 import importlib.util
 import inspect
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import jcontainers
@@ -46,3 +48,43 @@ def test_benchmark_traced_names_resolve():
     for module, name, *_ in spans.TRACED:
         target = getattr(importlib.import_module(f"jcontainers.{module}"), name, None)
         assert inspect.isfunction(target), f"jcontainers.{module}.{name}"
+
+
+def _identifiers(tree) -> list[str]:
+    """Every identifier a syntax tree mentions: names, attribute names,
+    imported names and string constants that spell an identifier or a
+    dotted path (perfbench/spans.py names what it traces as strings)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.append(node.attr)
+        elif isinstance(node, ast.alias):
+            found.extend(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if all(part.isidentifier() for part in node.value.split(".")):
+                found.extend(node.value.split("."))
+    return found
+
+
+def test_every_public_definition_has_a_product_reader():
+    # the product is what jc, the scripts and the benchmark run: a public
+    # function or class of the package that none of them reads belongs
+    # with the tests (tests/paper.py holds the paper's constructions).
+    # Matching is by name, so a namesake elsewhere hides a dead definition;
+    # the check can miss one but never flags a live one.
+    package = sorted((ROOT / "src" / "jcontainers").glob("*.py"))
+    files = [*package, *sorted(ROOT.glob("scripts/*.py")), *sorted(ROOT.glob("perfbench/*.py"))]
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+    readers = Counter()
+    for tree in trees.values():
+        readers.update(_identifiers(tree))
+    unread = []
+    for path in package:
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                own = Counter(_identifiers(node))[node.name]  # recursion reads itself
+                if readers[node.name] <= own:
+                    unread.append(f"{path.stem}.{node.name}")
+    assert not unread, f"no product reader: {', '.join(unread)}"
