@@ -15,7 +15,6 @@ from fractions import Fraction as F
 from jcontainers.containers import extension_containers, non_janson_containers
 from jcontainers.copies import extension_hypergraph, induced_copy_hypergraph
 from jcontainers.hypercore import Graph, bits_of
-from jcontainers.prng import SplitMix64
 from jcontainers.ramsey import sample_gnhalf
 
 

@@ -15,20 +15,21 @@ R* = 1 / min equals the supremum of R for which the hypergraph is
 Two solvers are provided: conditional gradient (Frank-Wolfe) with away
 steps and exact line search, in plain Python with O(m) rank-one steps, and
 for small edge counts and rational p an exact rational KKT enumeration over
-support patterns.  The exact path enumerates only the coupled block
+support patterns.  The exact path enumerates each coupled block on its own
 (:func:`_min_lambda_blocks`): Q_ij is 0 when E_i and E_j share at most one
-vertex, so an edge that does so with every other edge (an isolated edge)
-has a row of Q that is zero off the diagonal.  Q is then block-diagonal,
-one 1 x 1 block per isolated edge and one coupled block for the rest, and
-on the simplex the minima combine in closed form:
+vertex, so Q is block-diagonal over the connected components of the graph
+"shares at least two vertices" on the edges.  A component of one edge (an
+isolated edge) is a 1 x 1 block; a component b of k_b >= 2 edges (a
+coupled block) is enumerated over its own 2^k_b - 1 supports, not the
+2^m - 1 of the whole.  On the simplex the minima combine in closed form:
 
-    1/min = sum_isolated 1/Q_ii + 1/mu_rest,
+    1/min = sum_isolated 1/Q_ii + sum_b 1/mu_b,
 
-with x_i proportional to 1/Q_ii and the block's own minimiser scaled
-alongside.  Once :func:`_settled` has ruled out edges of size <= 1, Q is
-positive definite, so the minimiser is unique and this is the point the
-full enumeration would return.  Every verdict comes from one rule on a
-mass-one point x
+with x_i proportional to 1/Q_ii and each block's own minimiser scaled by
+(1/mu_b) / (1/min).  Once :func:`_settled` has ruled out edges of size
+<= 1, Q is positive definite, so the minimiser is unique and this is the
+point the full enumeration would return.  Every verdict comes from one rule
+on a mass-one point x
 (:func:`_decide`): YES when R lambda_p(x) clears 1, NO when R times the dual
 bound 2 min_j (Qx)_j - x^T Q x, which lies below the minimum by convexity,
 reaches 1; both values come from one pass over x (:func:`_evaluate`, over
@@ -140,8 +141,9 @@ def min_lambda_exact(h: Hypergraph, p) -> MinLambdaResult:
     all enumerated.  ``iterations`` counts the 2^m - 1 faces solved.
 
     This is the full enumeration over all m edges.  :func:`min_lambda`
-    calls it only on the coupled block of :func:`_min_lambda_blocks`; the
-    tests keep it whole as the reference that the block split must match.
+    calls it only on the coupled blocks of :func:`_min_lambda_blocks`, one
+    block at a time; the tests keep it whole as the reference that the
+    block split must match.
     """
     m = len(h.edges)
     if m == 0:
@@ -175,33 +177,57 @@ def min_lambda_exact(h: Hypergraph, p) -> MinLambdaResult:
     return MinLambdaResult(best_value, witness, Fraction(0), len(supports), exact=True)
 
 
-def _min_lambda_blocks(h: Hypergraph, p) -> MinLambdaResult:
-    """The exact simplex minimum, with isolated edges in closed form.
-
-    An edge is isolated when it shares at most one vertex with every other
-    edge; its row of Q is then zero off the diagonal.  With S the sum of
-    1/Q_ii over the isolated edges plus 1/mu over the coupled rest (mu its
-    minimum, from :func:`min_lambda_exact`), the minimum is 1/S, each
-    isolated edge weighs (1/Q_ii)/S and the rest carries its own minimiser
-    scaled by (1/mu)/S.  ``iterations`` counts the faces the block
-    enumeration solved, 0 when every edge is isolated.  Needs rational p
-    and no edge of size <= 1 (Q_ii > 0, and Q positive definite so that the
-    point is the unique minimiser)."""
-    edges = h.edges
-    coupled = 0
+def _coupled_blocks(edges) -> list:
+    """The coupled blocks of ``edges``, as bitmasks of edge indices in order
+    of their lowest index: the connected components of at least two edges
+    under "shares at least two vertices".  An edge left out is isolated."""
+    near = [0] * len(edges)
     for (i, a), (j, b) in itertools.combinations(enumerate(edges), 2):
         if popcount(a & b) >= 2:
-            coupled |= 1 << i | 1 << j
+            near[i] |= 1 << j
+            near[j] |= 1 << i
+    blocks = []
+    seen = 0
+    for i, links in enumerate(near):
+        if not links or seen >> i & 1:
+            continue
+        block = frontier = 1 << i
+        while frontier:
+            grown = 0
+            for j in bits_of(frontier):
+                grown |= near[j]
+            frontier = grown & ~block
+            block |= frontier
+        seen |= block
+        blocks.append(block)
+    return blocks
+
+
+def _min_lambda_blocks(h: Hypergraph, p) -> MinLambdaResult:
+    """The exact simplex minimum, block by block of Q.
+
+    Each coupled block of :func:`_coupled_blocks` goes to
+    :func:`min_lambda_exact` on its own edges, in their order in h; an
+    isolated edge, whose row of Q is zero off the diagonal, needs no
+    enumeration.  With S the sum of 1/Q_ii over the isolated edges plus
+    1/mu_b over the blocks (mu_b a block's minimum), the minimum is 1/S,
+    each isolated edge weighs (1/Q_ii)/S and block b carries its own
+    minimiser scaled by (1/mu_b)/S.  ``iterations`` counts the faces the
+    block enumerations solved, sum_b (2^k_b - 1) over blocks of k_b edges,
+    0 when every edge is isolated.  Needs rational p and no edge of size
+    <= 1 (Q_ii > 0, and Q positive definite so that the point is the unique
+    minimiser)."""
+    edges = h.edges
     sizes = [popcount(e) for e in edges]
     inverse = _inverse_diagonal(sizes, p, exact=True)
     weights = [inverse[c] for c in sizes]  # isolated edges: x_i = weight / S
     iterations = 0
-    if coupled:
+    for coupled in _coupled_blocks(edges):
         idx = bits_of(coupled)
         block = min_lambda_exact(Hypergraph(h.n, tuple(edges[i] for i in idx)), p)
         for i, y in zip(idx, block.witness.weights):
-            weights[i] = y / block.value  # adds 1/mu to S, as sum y = 1
-        iterations = block.iterations
+            weights[i] = y / block.value  # adds 1/mu_b to S, as sum y = 1
+        iterations += block.iterations
     total = sum(weights)
     x = Measure(h, tuple(w / total for w in weights), exact=True)
     return MinLambdaResult(1 / total, x, Fraction(0), iterations, exact=True)
@@ -327,10 +353,10 @@ def min_lambda(h: Hypergraph, p, tol: float = DEFAULT_TOL) -> MinLambdaResult:
     p and at most KKT_EDGE_CAP edges, by Frank-Wolfe otherwise.  The exact
     path (:func:`_min_lambda_blocks`) solves isolated edges, those sharing
     at most one vertex with every other edge, in closed form and enumerates
-    KKT supports only over the coupled rest; Q is block-diagonal and has a
-    unique minimiser, so the result is the full enumeration's.  Queries
-    that need no solve are settled by :func:`_settled`; the rest are
-    memoised, one entry per query, on the canonical edge order."""
+    KKT supports over each coupled block on its own; Q is block-diagonal
+    and has a unique minimiser, so the result is the full enumeration's.
+    Queries that need no solve are settled by :func:`_settled`; the rest
+    are memoised, one entry per query, on the canonical edge order."""
     settled = _settled(h, p, 1)
     if settled == "NO":
         raise InputError("minimum needs at least one edge")

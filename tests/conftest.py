@@ -1,8 +1,21 @@
+import importlib
+import warnings
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from jcontainers.hypercore import Graph, Hypergraph, mask_of
+
+# Hypothesis explains a failing test with libcst, whose import raises a
+# DeprecationWarning; under -W error that warning ends the run in an
+# INTERNALERROR before the falsifying example is shown.  Importing libcst
+# here, once and with the warning ignored, leaves nothing to raise later.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        importlib.import_module("libcst")
+    except ImportError:
+        pass
 
 
 @st.composite

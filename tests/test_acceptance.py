@@ -1,14 +1,11 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL
 line (run with ``pytest tests/test_acceptance.py -s`` to see them)."""
 
-import itertools
 import math
 import subprocess
 import sys
 import time
 from fractions import Fraction as F
-
-import pytest
 
 from jcontainers.containers import (
     cover_certificate,
@@ -26,7 +23,7 @@ from jcontainers.hypercore import (
     popcount,
     project,
 )
-from jcontainers.janson import janson_threshold, min_lambda
+from jcontainers.janson import janson_threshold
 from jcontainers.measures import Measure, lambda_p, lambda_p_subsets
 from jcontainers.prng import SplitMix64
 from jcontainers.ramsey import (

@@ -17,7 +17,7 @@ from jcontainers import cli, containers, fileio
 from jcontainers.cli import _graph, dispatch, load_config
 from jcontainers.containers import UniformContainerFamily
 from jcontainers.errors import InputError
-from jcontainers.hypercore import Graph, Hypergraph, mask_of
+from jcontainers.hypercore import Graph, Hypergraph
 from jcontainers.ramsey import ExperimentConfig
 
 from conftest import hypergraphs

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from jcontainers import containers, janson
 from jcontainers.containers import (
     ZETA_CAP,
-    CoverCertificate,
     UniformContainerFamily,
     _ascending,
     _bools,
@@ -25,7 +24,6 @@ from jcontainers.containers import (
     hardcover_family,
     minimal_members,
     non_janson_containers,
-    p_weight,
     uniform_container_oracle,
 )
 from jcontainers.copies import extension_hypergraph, induced_copy_hypergraph
@@ -38,7 +36,7 @@ from jcontainers.hypercore import (
     popcount,
     restrict_edges,
 )
-from jcontainers.janson import janson_threshold, min_lambda, require_verdict
+from jcontainers.janson import janson_threshold, require_verdict
 from jcontainers.prng import SplitMix64
 
 from conftest import hypergraphs

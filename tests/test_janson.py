@@ -1,9 +1,10 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jcontainers import janson
@@ -120,26 +121,75 @@ class TestMinLambda:
             assert best.value <= lambda_p_subsets(vertex, p)
 
 
-def isolated(h):
-    """Indices of the edges sharing at most one vertex with every other."""
-    return [
-        i for i, a in enumerate(h.edges)
-        if all((a & b).bit_count() <= 1 for j, b in enumerate(h.edges) if j != i)
-    ]
+def coupled_block_sizes(h):
+    """Edge counts of the components of at least two edges under "shares
+    at least two vertices", found by union-find over every pair."""
+    parent = list(range(len(h.edges)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(len(h.edges)), 2):
+        if (h.edges[i] & h.edges[j]).bit_count() >= 2:
+            parent[root(i)] = root(j)
+    sizes = Counter(root(i) for i in range(len(h.edges)))
+    return sorted(k for k in sizes.values() if k >= 2)
+
+
+def _grow(draw, n, edges, others, size):
+    """Grows the list ``edges`` to at most ``size`` edges of size 2-4 on n
+    vertices, each sharing at most one vertex with every edge of ``others``
+    and, after the first, two vertices with an earlier one of ``edges``."""
+    def apart(e):
+        return all((e & f).bit_count() <= 1 for f in others)
+
+    admissible = [e for e in range(1 << n) if 2 <= e.bit_count() <= 4 and apart(e)]
+    if not edges and admissible:
+        edges.append(draw(st.sampled_from(admissible)))
+    while edges and len(edges) < size:
+        near = [
+            e for e in admissible
+            if e not in edges and any((e & f).bit_count() >= 2 for f in edges)
+        ]
+        if not near:
+            break
+        edges.append(draw(st.sampled_from(near)))
 
 
 @st.composite
 def exact_hosts(draw):
     """Hosts for the exact path, n <= 9, m <= 8, edges of size 2-4, of
-    three kinds: drawn freely; with no isolated edge (each edge after the
-    first shares two vertices with an earlier one); or with 1-3 isolated
+    four kinds: drawn freely; with no isolated edge (each edge after the
+    first shares two vertices with an earlier one); with 1-3 isolated
     edges appended to such a host, each sharing at most one vertex with
-    every edge before it."""
-    kind = draw(st.sampled_from(["free", "coupled", "isolated"]))
+    every edge before it; or with 2-3 coupled blocks of at least two edges
+    each, every edge sharing at most one vertex with the other blocks, and
+    0-2 isolated edges."""
+    kind = draw(st.sampled_from(["free", "coupled", "isolated", "blocks"]))
     if kind == "free":
         return draw(hypergraphs(min_n=2, max_n=9, max_edges=8, min_edge_size=2).filter(
             lambda h: h.edges
         ))
+    if kind == "blocks":
+        n = draw(st.integers(6, 9))
+        extra = draw(st.integers(0, 2))
+        count = draw(st.integers(2, 3))
+        budget = 8 - extra
+        edges = []
+        for left in reversed(range(count)):
+            size = draw(st.integers(2, budget - 2 * left))
+            budget -= size
+            block = []
+            _grow(draw, n, block, edges, size)
+            assume(len(block) >= 2)
+            edges += block
+        for _ in range(extra):
+            single = []
+            _grow(draw, n, single, edges, 1)
+            edges += single
+        return Hypergraph(n, tuple(sorted(edges)))
     n = draw(st.integers(4, 9))
     extra = draw(st.integers(1, 3)) if kind == "isolated" else 0
     target = draw(st.integers(2, 8 - extra))
@@ -165,7 +215,7 @@ def exact_hosts(draw):
 
 class TestIsolatedEdges:
     """The exact path solves isolated edges in closed form and enumerates
-    KKT supports only over the coupled rest; the full enumeration
+    KKT supports over each coupled block on its own; the full enumeration
     min_lambda_exact is the reference."""
 
     @staticmethod
@@ -189,9 +239,8 @@ class TestIsolatedEdges:
         want = min_lambda_exact(h, p)
         assert got.exact and got.value == want.value
         assert got.witness.weights == want.witness.weights
-        k = len(h.edges) - len(isolated(h))
         assert want.iterations == (1 << len(h.edges)) - 1
-        assert got.iterations == (1 << k) - 1
+        assert got.iterations == sum((1 << k) - 1 for k in coupled_block_sizes(h))
         assert len(janson._cache) == 1
 
     @pytest.mark.parametrize(
@@ -239,6 +288,28 @@ class TestIsolatedEdges:
         assert is_janson(h, p, (1 - F(1, 10**6)) / res.value).answer == "YES"
         min_lambda(Hypergraph(7, tuple(reversed(h.edges))), p)  # same query, relabelled
         assert len(calls) == 1 and len(janson._cache) == 1
+
+    def test_two_blocks_are_enumerated_apart(self, monkeypatch):
+        # {0,1,2} and {0,1,3} form one block, {4,5,6}, {4,5,7} and {5,6,8}
+        # another; {3,4} shares at most one vertex with every edge
+        h = Hypergraph.from_vertex_lists(
+            9, [[4, 5, 6], [3, 4], [0, 1, 2], [5, 6, 8], [0, 1, 3], [4, 5, 7]]
+        )
+        p = F(1, 3)
+        assert coupled_block_sizes(h) == [2, 3]
+        calls = self.record_enumerations(monkeypatch)
+        clear_cache()
+        res = min_lambda(h, p)
+        first = tuple(sorted(mask_of(e) for e in ([0, 1, 2], [0, 1, 3])))
+        second = tuple(sorted(mask_of(e) for e in ([4, 5, 6], [4, 5, 7], [5, 6, 8])))
+        assert calls == [first, second]
+        assert res.iterations == 3 + 7
+        assert len(janson._cache) == 1
+        want = min_lambda_exact(h, p)  # the reference, not the recorder
+        assert res.value == want.value
+        assert res.witness.weights == want.witness.weights
+        mus = [min_lambda_exact(Hypergraph(9, block), p).value for block in (first, second)]
+        assert 1 / res.value == 1 / closed_form(2, p) + sum(1 / mu for mu in mus)
 
 
 class TestThreshold:

@@ -11,7 +11,7 @@ from jcontainers import ramsey
 from jcontainers.cli import dispatch
 from jcontainers.copies import induced_copy_hypergraph
 from jcontainers.errors import BudgetError, InputError, UndecidedError
-from jcontainers.hypercore import Coloring, Graph, bits_of, mask_of
+from jcontainers.hypercore import Coloring, Graph, bits_of
 from jcontainers.ramsey import (
     ExperimentConfig,
     arrows_induced,

@@ -88,3 +88,50 @@ def test_every_public_definition_has_a_product_reader():
                 if readers[node.name] <= own:
                     unread.append(f"{path.stem}.{node.name}")
     assert not unread, f"no product reader: {', '.join(unread)}"
+
+
+def test_every_imported_name_is_read():
+    # an import that its module never reads is dead weight; a name counts
+    # as read where an expression names it, so one that only a string
+    # mentions (a monkeypatch target, say) does not.  __future__ imports
+    # and the package's __init__ re-exports are exempt
+    files = [*sorted(ROOT.glob("src/**/*.py")), *sorted(ROOT.glob("scripts/*.py")),
+             *sorted(ROOT.glob("tests/*.py"))]
+    unread = []
+    for path in files:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unread += [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+                       for name in bound if name not in read]
+    assert not unread, f"imported and never read: {', '.join(unread)}"
+
+
+def test_failing_hypothesis_test_reports_its_example_under_w_error(tmp_path):
+    # Hypothesis explains a failure by importing libcst, whose import warns;
+    # tests/conftest.py imports it first so that -W error, as CI runs the
+    # suite, still shows the falsifying example
+    (tmp_path / "test_planted.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_planted(k):\n"
+        "    assert k < 3\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(jcontainers.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, str(ROOT / "tests")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-W", "error", "-p", "no:cacheprovider",
+         "-p", "conftest", "-q", "test_planted.py"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "Falsifying example" in done.stdout
+    assert "INTERNALERROR" not in done.stdout + done.stderr
