@@ -16,14 +16,11 @@ record, never in the payload.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import re
 import sys
-import typing
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,6 +36,7 @@ from .errors import BudgetError, InputError, UndecidedError
 from .hypercore import UNIVERSE_CAP, Graph, bits_of
 from .janson import is_janson
 from .ramsey import (
+    CONFIG_FIELDS,
     ExperimentConfig,
     arrows_induced,
     check_event_bad,
@@ -119,16 +117,29 @@ def emit(payload: dict) -> str:
     return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
 
 
-@dataclass
 class RunRecord:
-    command: list
-    config: dict
-    version: str
-    input_digests: dict
-    started: str
-    finished: str = ""
-    exit_status: int = 0
-    artifacts: dict = field(default_factory=dict)
+    __slots__ = (
+        "command", "config", "version", "input_digests", "started", "finished", "exit_status",
+        "artifacts",
+    )
+
+    def __init__(
+        self,
+        command: list,
+        config: dict,
+        version: str,
+        input_digests: dict,
+        started: str,
+        exit_status: int,
+    ):
+        self.command = command
+        self.config = config
+        self.version = version
+        self.input_digests = input_digests
+        self.started = started
+        self.finished = ""
+        self.exit_status = exit_status
+        self.artifacts = {}
 
 
 def persist(outdir: str, record: RunRecord, payload_text: str, extra_files: dict):
@@ -143,19 +154,15 @@ def persist(outdir: str, record: RunRecord, payload_text: str, extra_files: dict
         (out / name).write_text(text)
         record.artifacts[name] = hashlib.sha256(text.encode()).hexdigest()
     record.finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    (out / "record.json").write_text(emit(record.__dict__))
+    fields = {name: getattr(record, name) for name in RunRecord.__slots__}
+    (out / "record.json").write_text(emit(fields))
 
 
 def _config_keys() -> dict:
-    """Config key -> the type its value is read as, one per
-    ``ExperimentConfig`` init field; ``Optional[T]`` reads as T."""
-    hints = typing.get_type_hints(ExperimentConfig)
-    keys = {}
-    for f in dataclasses.fields(ExperimentConfig):
-        if f.init:
-            present = [t for t in typing.get_args(hints[f.name]) if t is not type(None)]
-            keys[f.name] = present[0] if present else hints[f.name]
-    return keys
+    """Config key -> the type its value is read as, one per row of
+    ``ramsey.CONFIG_FIELDS``, the table ``ExperimentConfig`` takes its keys
+    and defaults from (a seed, delta or p left out is None)."""
+    return {key: caster for key, caster, _ in CONFIG_FIELDS}
 
 
 CONFIG_KEYS = _config_keys()

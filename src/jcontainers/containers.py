@@ -65,7 +65,6 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .copies import ExtensionHypergraph, extend_copies
@@ -73,6 +72,8 @@ from .errors import BudgetError, InputError
 from .hypercore import (
     DEFAULT_ENUM_CAP,
     Hypergraph,
+    Value,
+    _set,
     bits_of,
     independence_polynomial,
     independent_sets,
@@ -253,7 +254,6 @@ def conditional_prob(h: Hypergraph, l_mask: int, q, t_mask: int = 0) -> Fraction
     return Fraction(independence_polynomial(link, a, c, forced=l_mask), den)
 
 
-@dataclass
 class _ZetaContext:
     """Superset weight table of one link, with the fingerprint/cover
     inequality in integer form.
@@ -262,8 +262,11 @@ class _ZetaContext:
     reads table[L] v^k <= u^k table[0] for k = |L|; as table[L] is an
     integer, that is table[L] <= limit[k] = floor(u^k table[0] / v^k)."""
 
-    table: list[int]
-    limit: list[int]
+    __slots__ = ("table", "limit")
+
+    def __init__(self, table: list[int], limit: list[int]):
+        self.table = table
+        self.limit = limit
 
     def prob(self, l_mask: int) -> Fraction:
         return Fraction(self.table[l_mask], self.table[0])
@@ -315,18 +318,22 @@ def in_cover(h: Hypergraph, l_mask: int, t_mask: int, q, alpha) -> bool:
     return conditional_prob(h, l_mask, q, t_mask) <= bar ** popcount(l_mask)
 
 
-@dataclass
 class HardcoverFamily:
     """Fingerprints, covers, and the verification record of the exact
     fingerprint/cover construction."""
 
-    n: int
-    paper_literal: bool
-    fingerprints: tuple  # sorted distinct T masks
-    phi: dict  # independent-set mask -> T mask
-    covers: dict  # T mask -> tuple of cover member masks (sorted)
-    violations: list = field(default_factory=list)
-    strict_checked: int = 0
+    __slots__ = (
+        "n", "paper_literal", "fingerprints", "phi", "covers", "violations", "strict_checked"
+    )
+
+    def __init__(self, n: int, paper_literal: bool, fingerprints: tuple, phi: dict, covers: dict):
+        self.n = n
+        self.paper_literal = paper_literal
+        self.fingerprints = fingerprints  # sorted distinct T masks
+        self.phi = phi  # independent-set mask -> T mask
+        self.covers = covers  # T mask -> tuple of cover member masks (sorted)
+        self.violations = []
+        self.strict_checked = 0
 
 
 def hardcover_family(
@@ -439,16 +446,18 @@ def _hardcover_core(
 # Cover certificates
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(Value):
     """Machine-checkable upper bound on the Janson threshold of the target:
     for every measure, lambda_p >= mass^2 / weight, so the target is not
     (p, R)-Janson for any R >= weight."""
 
-    target: Hypergraph
-    cover: Hypergraph
-    p: object
-    weight: object  # sum of p^|E| over cover members
+    __slots__ = ("target", "cover", "p", "weight")
+
+    def __init__(self, target: Hypergraph, cover: Hypergraph, p, weight):
+        _set(self, "target", target)
+        _set(self, "cover", cover)
+        _set(self, "p", p)
+        _set(self, "weight", weight)  # sum of p^|E| over cover members
 
 
 def p_weight(cover: Hypergraph, p):
@@ -483,11 +492,13 @@ def cover_certificate(target: Hypergraph, cover: Hypergraph, p) -> CoverCertific
 # Uniform-container oracle (pluggable seam with a shared-container fallback)
 
 
-@dataclass
 class UniformContainerFamily:
-    phi: dict  # independent-set mask -> S mask
-    psi: dict  # S mask -> container mask
-    incomplete: list = field(default_factory=list)
+    __slots__ = ("phi", "psi", "incomplete")
+
+    def __init__(self, phi: dict, psi: dict, incomplete=()):
+        self.phi = phi  # independent-set mask -> S mask
+        self.psi = psi  # S mask -> container mask
+        self.incomplete = list(incomplete)
 
 
 def uniform_container_oracle(h: Hypergraph, p) -> UniformContainerFamily:
@@ -564,18 +575,25 @@ def upset_slice(h: Hypergraph, s: int) -> Hypergraph:
     return Hypergraph(h.n, tuple(sorted(m for m in members if contains[m])))
 
 
-@dataclass
 class PipelineFamily:
     """Containers plus the verification record of a pipeline run."""
 
-    host: Hypergraph
-    params: dict
-    containers: tuple  # sorted container masks
-    certified_minimals: tuple  # minimal vertex sets with the auxiliary property
-    violations: list = field(default_factory=list)
-    incomplete: list = field(default_factory=list)
-    size_bound_ok: bool = True
-    shrunk: dict = field(default_factory=dict)  # container -> Y mask (ext. pipeline)
+    __slots__ = (
+        "host", "params", "containers", "certified_minimals",
+        "violations", "incomplete", "size_bound_ok", "shrunk",
+    )
+
+    def __init__(
+        self, host: Hypergraph, params: dict, containers: tuple, certified_minimals: tuple
+    ):
+        self.host = host
+        self.params = params
+        self.containers = containers  # sorted container masks
+        self.certified_minimals = certified_minimals  # minimal sets with the auxiliary property
+        self.violations = []
+        self.incomplete = []
+        self.size_bound_ok = True
+        self.shrunk = {}  # container -> Y mask (ext. pipeline)
 
 
 def _verified_pipeline(

@@ -20,14 +20,15 @@ pattern's copy table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import InputError
 from .hypercore import (
     Graph,
     Hypergraph,
+    Value,
     VertexMap,
+    _set,
     bits_of,
     edgewise_include,
     mask_of,
@@ -86,13 +87,15 @@ def least_isomorphism(pattern: Graph, host: Graph, l_verts: list[int]):
     return None
 
 
-@dataclass(frozen=True)
-class CopyHypergraph:
+class CopyHypergraph(Value):
     """Copy hypergraph plus, per edge, one isomorphism witness
     (re-checkable)."""
 
-    hyper: Hypergraph
-    witnesses: dict  # edge mask -> phi tuple aligned with sorted vertices
+    __slots__ = ("hyper", "witnesses")
+
+    def __init__(self, hyper: Hypergraph, witnesses: dict):
+        _set(self, "hyper", hyper)
+        _set(self, "witnesses", witnesses)  # edge mask -> phi tuple aligned with sorted vertices
 
 
 def _check_pair(g_prime: Graph, g: Graph):
@@ -148,26 +151,25 @@ def induced_copy_hypergraph(f: Graph, g_prime: Graph, g: Graph) -> CopyHypergrap
     return CopyHypergraph(Hypergraph(g.n, tuple(sorted(edges))), witnesses)
 
 
-@dataclass(frozen=True)
-class ExtensionHypergraph:
+class ExtensionHypergraph(Value):
     """Two-layer hypergraph recording how a fresh vertex extends copies.
 
     ``hyper`` lives on [0, 2m); vertex u + b*m is the pair (u, b).  ``pi``
-    is the first-coordinate projection u + b*m -> u; |pi(E)| = |E| holds for
-    every edge by construction and is re-checked here.
+    is the first-coordinate projection u + b*m -> u, built once at
+    construction; |pi(E)| = |E| holds for every edge by construction and is
+    re-checked here.
     """
 
-    hyper: Hypergraph
-    m: int
+    __slots__ = ("hyper", "m", "pi")
 
-    def __post_init__(self):
-        for e in self.hyper.edges:
-            if popcount(self.pi.apply_mask(e)) != popcount(e):
+    def __init__(self, hyper: Hypergraph, m: int):
+        _set(self, "hyper", hyper)
+        _set(self, "m", m)
+        pi = VertexMap(2 * m, m, tuple(range(m)) * 2)
+        _set(self, "pi", pi)
+        for e in hyper.edges:
+            if popcount(pi.apply_mask(e)) != popcount(e):
                 raise InputError("projection must be injective on every edge")
-
-    @cached_property
-    def pi(self) -> VertexMap:
-        return VertexMap(2 * self.m, self.m, tuple(range(self.m)) * 2)
 
 
 def extension_hypergraph(

@@ -12,8 +12,8 @@ by bit pattern so downstream fingerprints are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
+from operator import attrgetter
 
 from .errors import InputError
 
@@ -58,35 +58,76 @@ def _check_universe(n: int) -> None:
         raise InputError(f"universe size {n} exceeds cap {UNIVERSE_CAP}")
 
 
+_set = object.__setattr__  # how a Value's __init__ writes its read-only fields
+
+
+class Value:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``__slots__`` and sets each one once in
+    ``__init__`` with ``_set``.  Instances compare equal when they are of
+    the same class and their fields are equal, hash by their fields, and
+    refuse any later assignment or deletion with an AttributeError.
+    Copying and pickling restore the fields as stored."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields_of = attrgetter(*cls.__slots__)  # instance -> its field values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields_of(self) == self._fields_of(other)
+
+    def __hash__(self):
+        return hash(self._fields_of(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            _set(self, name, value)
+
+
 # the one tuple of each vertex pair handed out by Graph.edges, filled as
 # pairs are first met: at most C(UNIVERSE_CAP, 2) = 2016 entries
 _PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Value):
     """Simple undirected graph: ``adj[v]`` is the neighbour bitmask of v.
 
     Invariants (checked at construction): adjacency symmetric, empty
     diagonal, all bits within [0, n).
     """
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ("n", "adj")
 
-    def __post_init__(self):
-        _check_universe(self.n)
-        if len(self.adj) != self.n:
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        _set(self, "n", n)
+        _set(self, "adj", adj)
+        _check_universe(n)
+        if len(adj) != n:
             raise InputError("adjacency length must equal vertex count")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        full = (1 << n) - 1
+        for v, row in enumerate(adj):
             if row & ~full:
                 raise InputError(f"vertex {v} has a neighbour outside [0, n)")
             if row >> v & 1:
                 raise InputError(f"self-loop at vertex {v}")
-        for v in range(self.n):
-            for u in bits_of(self.adj[v]):
-                if not self.adj[u] >> v & 1:
+        for v in range(n):
+            for u in bits_of(adj[v]):
+                if not adj[u] >> v & 1:
                     raise InputError(f"asymmetric adjacency between {u} and {v}")
 
     @staticmethod
@@ -165,20 +206,20 @@ class Graph:
         return Graph(len(verts), tuple(adj))
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(Value):
     """Finite hypergraph: a vertex universe [0, n) and a duplicate-free
     edge list of vertex subsets (bitmasks).  Uniformity is derived, never
     assumed."""
 
-    n: int
-    edges: tuple[int, ...]
+    __slots__ = ("n", "edges")
 
-    def __post_init__(self):
-        _check_universe(self.n)
-        full = (1 << self.n) - 1
+    def __init__(self, n: int, edges: tuple[int, ...]):
+        _set(self, "n", n)
+        _set(self, "edges", edges)
+        _check_universe(n)
+        full = (1 << n) - 1
         seen = set()
-        for e in self.edges:
+        for e in edges:
             if e & ~full:
                 raise InputError("edge contains a vertex outside the universe")
             if e in seen:
@@ -222,19 +263,19 @@ def edgewise_include(h: Hypergraph, v: int) -> Hypergraph:
     return Hypergraph(n, tuple(sorted(e | bit for e in h.edges)))
 
 
-@dataclass(frozen=True)
-class VertexMap:
+class VertexMap(Value):
     """Total function [0, n_source) -> [0, n_target), as a lookup table."""
 
-    n_source: int
-    n_target: int
-    table: tuple[int, ...]
+    __slots__ = ("n_source", "n_target", "table")
 
-    def __post_init__(self):
-        if len(self.table) != self.n_source:
+    def __init__(self, n_source: int, n_target: int, table: tuple[int, ...]):
+        _set(self, "n_source", n_source)
+        _set(self, "n_target", n_target)
+        _set(self, "table", table)
+        if len(table) != n_source:
             raise InputError("vertex map must be total on the source universe")
-        for img in self.table:
-            if not 0 <= img < self.n_target:
+        for img in table:
+            if not 0 <= img < n_target:
                 raise InputError("vertex map image outside target universe")
 
     def apply_mask(self, mask: int) -> int:
@@ -362,19 +403,23 @@ def _component_weight(span: int, edges: list[int], x: int, y: int, memo: dict) -
     return value
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """Total edge colouring of a Graph with colours 1..r."""
+class Coloring(Value):
+    """Total edge colouring of a Graph with colours 1..r; the hash reads
+    ``r`` only, as the assignment is a dict."""
 
-    r: int
-    assignment: dict[tuple[int, int], int] = field(hash=False)
+    __slots__ = ("r", "assignment")
 
-    def __post_init__(self):
-        for (u, v), c in self.assignment.items():
+    def __init__(self, r: int, assignment: dict[tuple[int, int], int]):
+        _set(self, "r", r)
+        _set(self, "assignment", assignment)
+        for (u, v), c in assignment.items():
             if u >= v:
                 raise InputError("colouring keys must be (u, v) with u < v")
-            if not 1 <= c <= self.r:
-                raise InputError(f"colour {c} outside [1, {self.r}]")
+            if not 1 <= c <= r:
+                raise InputError(f"colour {c} outside [1, {r}]")
+
+    def __hash__(self):
+        return hash((self.r,))
 
     def color_subgraph(self, graph: Graph, colour: int) -> Graph:
         return Graph.from_edges(

@@ -49,13 +49,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
-from typing import Optional
 
 from .errors import BudgetError, InputError, UndecidedError
-from .hypercore import Hypergraph, bits_of, popcount
+from .hypercore import Hypergraph, Value, _set, bits_of, popcount
 from .measures import Measure, is_rational, overlap_sums, pair_coefficient
 
 KKT_EDGE_CAP = 10  # exact path enumerates up to 2^m - 1 support patterns
@@ -67,26 +65,43 @@ _GRID = 1 << 48
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class MinLambdaResult:
-    value: object  # Fraction (exact) or float
-    witness: Measure  # mass-one measure attaining / approaching the value
-    gap: object  # 0 on the exact path
-    iterations: int
-    exact: bool
+class MinLambdaResult(Value):
+    __slots__ = ("value", "witness", "gap", "iterations", "exact")
+
+    def __init__(self, value, witness: Measure, gap, iterations: int, exact: bool):
+        _set(self, "value", value)  # Fraction (exact) or float
+        _set(self, "witness", witness)  # mass-one measure attaining / approaching the value
+        _set(self, "gap", gap)  # 0 on the exact path
+        _set(self, "iterations", iterations)
+        _set(self, "exact", exact)
 
 
-@dataclass(frozen=True)
-class JansonVerdict:
-    answer: str  # "YES" | "NO" | "UNDECIDED"
-    r_star: object  # Fraction, float, or math.inf
-    witness: Optional[Measure]
-    dual_bound: object  # certified lower bound on the simplex minimum
-    gap: object
-    iterations: int
-    tol: float  # always DEFAULT_TOL
-    exact: bool
-    note: str = ""
+class JansonVerdict(Value):
+    __slots__ = (
+        "answer", "r_star", "witness", "dual_bound", "gap", "iterations", "tol", "exact", "note"
+    )
+
+    def __init__(
+        self,
+        answer: str,
+        r_star,
+        witness: Measure | None,
+        dual_bound,
+        gap,
+        iterations: int,
+        tol: float,
+        exact: bool,
+        note: str = "",
+    ):
+        _set(self, "answer", answer)  # "YES" | "NO" | "UNDECIDED"
+        _set(self, "r_star", r_star)  # Fraction, float, or math.inf
+        _set(self, "witness", witness)
+        _set(self, "dual_bound", dual_bound)  # certified lower bound on the simplex minimum
+        _set(self, "gap", gap)
+        _set(self, "iterations", iterations)
+        _set(self, "tol", tol)  # always DEFAULT_TOL
+        _set(self, "exact", exact)
+        _set(self, "note", note)
 
 
 def overlap_matrix(h: Hypergraph, p, exact: bool) -> list:
@@ -233,7 +248,7 @@ def _min_lambda_blocks(h: Hypergraph, p) -> MinLambdaResult:
     return MinLambdaResult(1 / total, x, Fraction(0), iterations, exact=True)
 
 
-def _frank_wolfe(q: list, max_iter: int, tol: float, target: Optional[float] = None):
+def _frank_wolfe(q: list, max_iter: int, tol: float, target: float | None = None):
     """Away-step Frank-Wolfe with exact line search for min x^T q x over
     the simplex, from the uniform point, ties going to the lowest index.
 
@@ -376,7 +391,8 @@ def min_lambda(h: Hypergraph, p, tol: float = DEFAULT_TOL) -> MinLambdaResult:
     if h.edges != edge_order:
         weight_of = dict(zip(edge_order, ws))
         ws = tuple(weight_of[e] for e in h.edges)
-    return replace(result, witness=Measure(h, ws, result.exact))
+    witness = Measure(h, ws, result.exact)
+    return MinLambdaResult(result.value, witness, result.gap, result.iterations, result.exact)
 
 
 def janson_threshold(h: Hypergraph, p):
@@ -390,7 +406,7 @@ def janson_threshold(h: Hypergraph, p):
     return 1 / min_lambda(h, p).value
 
 
-def _settled(h: Hypergraph, p, r) -> Optional[str]:
+def _settled(h: Hypergraph, p, r) -> str | None:
     """"YES" or "NO" for a query that needs no solve, else None.
 
     R < 0 and p outside (0, 1] raise InputError whatever the edges.  R = 0

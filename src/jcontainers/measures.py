@@ -25,11 +25,10 @@ into an accumulator) is kept as the independent re-check of that pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError, InputError
-from .hypercore import Hypergraph, popcount, submasks
+from .hypercore import Hypergraph, Value, _set, popcount, submasks
 
 SUBSET_EDGE_CAP = 20  # algorithm A enumerates 2^|E| submasks per edge
 
@@ -54,29 +53,24 @@ def _check_probability(p, exact: bool):
         raise InputError("p must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(Value):
     """Nonnegative weight per host edge; ``exact`` flags Fraction weights."""
 
-    host: Hypergraph
-    weights: tuple
-    exact: bool = True
+    __slots__ = ("host", "weights", "exact")
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.host.edges):
+    def __init__(self, host: Hypergraph, weights: tuple, exact: bool = True):
+        _set(self, "host", host)
+        _set(self, "weights", weights)
+        _set(self, "exact", exact)
+        if len(weights) != len(host.edges):
             raise InputError("weight count must equal edge count")
-        for w in self.weights:
-            if self.exact and not is_rational(w):
+        for w in weights:
+            if exact and not is_rational(w):
                 raise InputError("exact measure weights must be rational")
-            if not self.exact and not isinstance(w, float):
+            if not exact and not isinstance(w, float):
                 raise InputError("floating measure weights must be floats")
             if w < 0:
                 raise InputError("weights must be nonnegative")
-
-    @staticmethod
-    def zero(host: Hypergraph, exact: bool = True) -> "Measure":
-        fill = Fraction(0) if exact else 0.0
-        return Measure(host, (fill,) * len(host.edges), exact)
 
     @staticmethod
     def unit_on(host: Hypergraph, index: int, exact: bool = True) -> "Measure":
@@ -88,11 +82,6 @@ class Measure:
 
     def support(self) -> list[int]:
         return [i for i, w in enumerate(self.weights) if w > 0]
-
-    def to_float(self) -> "Measure":
-        if not self.exact:
-            return self
-        return Measure(self.host, tuple(float(w) for w in self.weights), exact=False)
 
 
 def lambda_p_subsets(m: Measure, p):

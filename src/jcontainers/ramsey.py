@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .copies import induced_copy_hypergraph
 from .errors import BudgetError, InputError, UndecidedError
@@ -30,35 +29,45 @@ BUDGET_COLORINGS = 1 << 20  # colourings an event sweeps per window before sampl
 BUDGET_SUBSETS = 1 << 16  # vertex sets event B' or E sweeps before sampling
 
 
-@dataclass
+# every config-file key: (key, the type its value is read as, default);
+# None stands for "derived" on delta and p, and for "unset" on seed
+CONFIG_FIELDS = (
+    ("r", int, 2),
+    ("k", int, 3),
+    ("n", int, 64),
+    ("m", int, 8),
+    ("seed", int, None),
+    ("trials", int, 100),
+    ("budget_colorings", int, BUDGET_COLORINGS),
+    ("budget_subsets", int, BUDGET_SUBSETS),
+    ("delta", float, None),
+    ("p", Fraction, None),
+    ("usize", int, 8),
+    ("ssize", int, 32),
+    ("F", str, "P3"),
+    ("kind", str, "gamma"),
+    ("colorings", int, 8),
+    ("Rprime", Fraction, Fraction(0)),
+)
+
+
 class ExperimentConfig:
-    """Every config-file key with its default, plus the derived constants;
-    overriding a derived constant sets ``scaled`` so reports can flag
-    non-canonical parameters.  An unset ``seed`` is None.
+    """Every key of ``CONFIG_FIELDS``, given by keyword or at its default,
+    plus the derived constants; overriding a derived constant sets
+    ``scaled`` so reports can flag non-canonical parameters.  An unset
+    ``seed`` is None.
 
     Where an event's vertex sets outnumber ``budget_subsets`` = b, it
     sweeps b of them: the first floor(b/2) in order and b - floor(b/2)
     seeded draws from the rest."""
 
-    r: int = 2
-    k: int = 3
-    n: int = 64
-    m: int = 8
-    seed: Optional[int] = None
-    trials: int = 100
-    budget_colorings: int = BUDGET_COLORINGS
-    budget_subsets: int = BUDGET_SUBSETS
-    delta: Optional[float] = None
-    p: Optional[Fraction] = None
-    usize: int = 8
-    ssize: int = 32
-    F: str = "P3"
-    kind: str = "gamma"
-    colorings: int = 8
-    Rprime: Fraction = Fraction(0)
-    scaled: bool = field(init=False)
+    __slots__ = (*(key for key, _, _ in CONFIG_FIELDS), "scaled")
 
-    def __post_init__(self):
+    def __init__(self, **settings):
+        for key, _, default in CONFIG_FIELDS:
+            setattr(self, key, settings.pop(key, default))
+        if settings:
+            raise TypeError(f"unknown config keys: {', '.join(sorted(settings))}")
         if self.r < 1 or self.k < 1:
             raise InputError("r and k must be at least 1")
         self.scaled = self.delta is not None or self.p is not None
@@ -89,8 +98,8 @@ def sample_gnhalf(n: int, seed: int) -> Graph:
 
 
 def find_bad_coloring(
-    g: Graph, targets: Sequence[Graph], budget: Optional[int] = None
-) -> Optional[Coloring]:
+    g: Graph, targets: Sequence[Graph], budget: int | None = None
+) -> Coloring | None:
     """A colouring with no colour-i induced copy of the i-th target, or None
     when exhaustive search proves every colouring has one.
 
@@ -151,7 +160,7 @@ def find_bad_coloring(
     return None
 
 
-def arrows_induced(g: Graph, h: Graph, r: int, budget: Optional[int] = None) -> bool:
+def arrows_induced(g: Graph, h: Graph, r: int, budget: int | None = None) -> bool:
     """True when every r-colouring of the host has a monochromatic induced
     copy of the target."""
     return find_bad_coloring(g, [h] * r, budget) is None
@@ -161,13 +170,15 @@ def arrows_induced(g: Graph, h: Graph, r: int, budget: Optional[int] = None) -> 
 # Colouring events
 
 
-@dataclass
 class EventReport:
-    name: str
-    holds: Optional[bool]  # None when a needed verdict was indeterminate
-    witness: dict = field(default_factory=dict)
-    exhaustive: bool = True
-    notes: list = field(default_factory=list)
+    __slots__ = ("name", "holds", "witness", "exhaustive", "notes")
+
+    def __init__(self, name: str, holds: bool | None):
+        self.name = name
+        self.holds = holds  # None when a needed verdict was indeterminate
+        self.witness = {}
+        self.exhaustive = True
+        self.notes = []
 
 
 def _colorings(g: Graph, r: int, budget: int, rng: SplitMix64):
@@ -395,16 +406,31 @@ def check_event_inductive(
 # Monte-Carlo experiments
 
 
-@dataclass
 class FrequencyReport:
-    name: str
-    trials: int
-    successes: int
-    frequency: float
-    exact_reference: Optional[Fraction]
-    theory_bound: float
-    rows: list = field(default_factory=list)  # (trial, seed, outcome, statistic)
-    notes: list = field(default_factory=list)
+    __slots__ = (
+        "name", "trials", "successes", "frequency", "exact_reference", "theory_bound", "rows",
+        "notes",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        trials: int,
+        successes: int,
+        frequency: float,
+        exact_reference: Fraction | None,
+        theory_bound: float,
+        rows: list,
+        notes: list,
+    ):
+        self.name = name
+        self.trials = trials
+        self.successes = successes
+        self.frequency = frequency
+        self.exact_reference = exact_reference
+        self.theory_bound = theory_bound
+        self.rows = rows  # (trial, seed, outcome, statistic)
+        self.notes = notes
 
 
 def _binomial_tail_gt(n: int, threshold: Fraction) -> Fraction:

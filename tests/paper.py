@@ -36,6 +36,8 @@ from jcontainers.measures import Measure, as_fraction, lambda_p
 from jcontainers.prng import SplitMix64
 from jcontainers.ramsey import FrequencyReport, arrows_induced, sample_gnhalf
 
+from oracles import float_measure, zero_measure
+
 
 # ---------------------------------------------------------------------------
 # Certificates
@@ -267,7 +269,7 @@ def bounded_degree_witness(
                 verdict=verdict,
             )
 
-    nu = _witness_mass_one(h, p, r, "initial witness").to_float()
+    nu = float_measure(_witness_mass_one(h, p, r, "initial witness"))
     target = 2.0 * s * s / (beta * nverts)  # mass-one form of the bound
     tau = min(1.0, 1.0 / (beta * nverts)) / 2.0
     cutoff = s / (beta * nverts)
@@ -281,7 +283,7 @@ def bounded_degree_witness(
             raise HypothesisViolation(
                 "low-degree vertex set spans no edges", w_mask=w_mask
             )
-        nu_prime_sub = _witness_mass_one(sub, p, r, "restricted witness").to_float()
+        nu_prime_sub = float_measure(_witness_mass_one(sub, p, r, "restricted witness"))
         weight_of = dict(zip(sub.edges, nu_prime_sub.weights))
         nu_prime = Measure(
             h, tuple(weight_of.get(e, 0.0) for e in h.edges), exact=False
@@ -323,7 +325,7 @@ def aggregate_witnesses(
         if not exact and abs(m - 1.0) > 1e-9:
             raise InputError("witnesses must be normalised to mass one")
 
-    total = Measure.zero(host, exact)
+    total = zero_measure(host, exact)
     for _, nu in family:
         total = add(total, nu)
 

@@ -40,7 +40,7 @@ from jcontainers.janson import janson_threshold, require_verdict
 from jcontainers.prng import SplitMix64
 
 from conftest import hypergraphs
-from oracles import or_fold
+from oracles import fingerprint_in_table, or_fold
 from paper import fingerprint, is_independent
 
 
@@ -165,23 +165,6 @@ class TestFingerprint:
             cand = t_mask | sub
             assert conditional_prob(h, cand, q) > bar ** popcount(cand)
             sub = (sub - 1) & rest
-
-
-def fingerprint_in_table(sat, i_mask):
-    """A maximum-cardinality subset of I where ``sat`` holds, ties broken by
-    the first hit in descending submask order: the fingerprint rule as a
-    per-set submask scan, the reference for the one-pass table."""
-    best = 0
-    best_size = 0
-    sub = i_mask
-    while True:
-        if sat[sub]:
-            size = popcount(sub)
-            if size > best_size:
-                best, best_size = sub, size
-        if sub == 0:
-            return best
-        sub = (sub - 1) & i_mask
 
 
 def reference_family(h, q, alpha, paper_literal):

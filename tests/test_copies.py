@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from jcontainers import copies
 from jcontainers.copies import (
-    CopyHypergraph,
     extend_copies,
     extension_hypergraph,
     induced_copy_hypergraph,
@@ -15,7 +14,6 @@ from jcontainers.copies import (
 from jcontainers.errors import InputError
 from jcontainers.hypercore import (
     Graph,
-    Hypergraph,
     bits_of,
     mask_of,
     popcount,
@@ -24,6 +22,7 @@ from jcontainers.hypercore import (
 )
 from jcontainers.prng import SplitMix64
 
+from oracles import backtracking_copies
 from paper import iota, is_independent
 
 
@@ -74,22 +73,6 @@ class TestInducedCopies:
         f = Graph.path(3)
         phi = least_isomorphism(f, Graph.path(3), [0, 1, 2])
         assert phi == (0, 1, 2)
-
-
-def backtracking_copies(f, g_prime, g):
-    """The reference copy hypergraph: every vertex set L with G'[L] = G[L]
-    goes through ``least_isomorphism`` on its own, with no copy table."""
-    edges = []
-    witnesses = {}
-    for combo in itertools.combinations(range(g.n), f.n):
-        l_mask = mask_of(combo)
-        if any(g_prime.adj[u] & l_mask != g.adj[u] & l_mask for u in combo):
-            continue
-        phi = least_isomorphism(f, g_prime, list(combo))
-        if phi is not None:
-            edges.append(l_mask)
-            witnesses[l_mask] = phi
-    return CopyHypergraph(Hypergraph(g.n, tuple(sorted(edges))), witnesses)
 
 
 def random_graph(rng, n):

@@ -26,6 +26,7 @@ from jcontainers.prng import SplitMix64
 
 import paper
 from conftest import hypergraphs, rational_weights
+from oracles import dense_dual, float_measure
 from paper import (
     HypothesisViolation,
     aggregate_witnesses,
@@ -668,7 +669,9 @@ class TestOverlapAndDualBound:
         x = Measure(h, tuple(F(v, sum(raw)) for v in raw))
         bound = dual_lower_bound(x, p)
         assert bound <= best.value <= lambda_p(x, p)
-        assert dual_lower_bound(x.to_float(), p) == pytest.approx(float(bound), rel=1e-9, abs=1e-12)
+        assert dual_lower_bound(float_measure(x), p) == pytest.approx(
+            float(bound), rel=1e-9, abs=1e-12
+        )
 
     @given(hypergraphs(min_n=2, max_n=7, max_edges=8), st.data())
     @settings(max_examples=80, deadline=None)
@@ -681,18 +684,11 @@ class TestOverlapAndDualBound:
         p = data.draw(st.sampled_from([F(1, 2), F(1, 3), F(2, 3), F(1, 5), F(1, 64), F(1)]))
         x = Measure(h, data.draw(rational_weights(len(h.edges))))
 
-        def dense_dual(m, p):
-            zero = F(0) if m.exact else 0.0
-            q = overlap_matrix(m.host, p if m.exact else float(p), m.exact)
-            qx = [sum((a * w for a, w in zip(row, m.weights)), zero) for row in q]
-            lam = sum((w * v for w, v in zip(m.weights, qx)), zero)
-            return lam - max(2 * (lam - min(qx)), zero)
-
         lam, dual = janson._evaluate(x, p)
         assert lam == lambda_p_subsets(x, p)
         assert dual == dense_dual(x, p)
         assert dual <= lam
-        xf = x.to_float()
+        xf = float_measure(x)
         lam_f, dual_f = janson._evaluate(xf, p)
         scale_f = 1e-12 * max(1.0, float(lam))
         assert lam_f == pytest.approx(lambda_p_subsets(xf, float(p)), rel=1e-12, abs=scale_f)
