@@ -34,10 +34,9 @@ on a mass-one point x
 bound 2 min_j (Qx)_j - x^T Q x, which lies below the minimum by convexity,
 reaches 1; both values come from one pass over x (:func:`_evaluate`, over
 :func:`measures.overlap_sums`).  The yes/no queries of
-:func:`require_verdict` climb a ladder: an exact copy of a short
-Frank-Wolfe run's point goes to that rule; if 1/R lies between its two
-values, R >= sum_i 1/Q_ii is a closed-form NO (:func:`_diagonal_no`); only
-then does :func:`is_janson` solve.
+:func:`require_verdict` climb one ladder: R >= sum_i 1/Q_ii is a
+closed-form NO (:func:`_diagonal_no`); only what that leaves goes to
+:func:`is_janson`.
 
 Queries that need no solve are settled first (:func:`_settled`): an edge of
 size <= 1 (including the empty edge) absorbs all mass with lambda = 0, so R*
@@ -56,11 +55,9 @@ from .errors import BudgetError, InputError, UndecidedError
 from .hypercore import Hypergraph, Value, _set, bits_of, popcount
 from .measures import Measure, is_rational, overlap_sums, pair_coefficient
 
-KKT_EDGE_CAP = 10  # exact path enumerates up to 2^m - 1 support patterns
+KKT_EDGE_CAP = 10  # exact path: a coupled block of k edges has 2^k - 1 supports
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10**6
-BRACKET_MAX_ITER = 1000  # require_verdict's Frank-Wolfe; past it, enumerate
-_GRID = 1 << 48
 
 INF = float("inf")
 
@@ -248,7 +245,7 @@ def _min_lambda_blocks(h: Hypergraph, p) -> MinLambdaResult:
     return MinLambdaResult(1 / total, x, Fraction(0), iterations, exact=True)
 
 
-def _frank_wolfe(q: list, max_iter: int, tol: float, target: float | None = None):
+def _frank_wolfe(q: list, tol: float):
     """Away-step Frank-Wolfe with exact line search for min x^T q x over
     the simplex, from the uniform point, ties going to the lowest index.
 
@@ -256,23 +253,19 @@ def _frank_wolfe(q: list, max_iter: int, tol: float, target: float | None = None
     vertex i) moves Qx by the rank-one update Qx <- (1 - g) Qx + g q[i]
     (g < 0 away), so it costs O(m): the slope is 2 ((Qx)_i - x^T Q x) and
     the curvature 2 (q_ii - 2 (Qx)_i + x^T Q x).  It stops when the gap is
-    within relative ``tol`` of the value, when the line search stalls,
-    after ``max_iter`` steps or, given a ``target``, once the bracket
-    [value - gap, value] clears it by a relative margin of ``tol``.  The
-    point (normalised), its value and its gap are then recomputed in one
-    O(m^2) pass, so no rank-one drift reaches them.  Returns
-    (x, value, gap, iterations)."""
+    within relative ``tol`` of the value, when the line search stalls or
+    after DEFAULT_MAX_ITER steps.  The point (normalised), its value and
+    its gap are then recomputed in one O(m^2) pass, so no rank-one drift
+    reaches them.  Returns (x, value, gap, iterations)."""
     m = len(q)
     x = [1.0 / m] * m
     qx = [sum(map(mul, row, x)) for row in q]
-    yes_below = -INF if target is None else target * (1.0 - tol)
-    no_from = INF if target is None else target * (1.0 + tol)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, DEFAULT_MAX_ITER + 1):
         value = sum(map(mul, x, qx))
         low = min(qx)
         gap = max(2.0 * (value - low), 0.0)  # roundoff must not inflate the bound
-        if gap <= tol * max(abs(value), 1e-300) or value < yes_below or value - gap >= no_from:
+        if gap <= tol * max(abs(value), 1e-300):
             break
         top = max(itertools.compress(qx, x))  # over the active vertices
         if gap >= 2.0 * (top - value):
@@ -313,9 +306,7 @@ def min_lambda_fw(h: Hypergraph, p: float, tol: float = DEFAULT_TOL) -> MinLambd
     """
     if not h.edges:
         raise InputError("minimum needs at least one edge")
-    x, value, gap, iterations = _frank_wolfe(
-        overlap_matrix(h, float(p), exact=False), DEFAULT_MAX_ITER, tol
-    )
+    x, value, gap, iterations = _frank_wolfe(overlap_matrix(h, float(p), exact=False), tol)
     return MinLambdaResult(value, Measure(h, tuple(x), exact=False), gap, iterations, exact=False)
 
 
@@ -343,24 +334,10 @@ def dual_lower_bound(witness: Measure, p):
 
 
 _cache: dict = {}  # min_lambda's memo key -> (result, canonical edge order)
-_brackets: dict = {}  # (n, canonical edges, p, R) -> True / False / None
 
 
 def clear_cache():
     _cache.clear()
-    _brackets.clear()
-
-
-def _query(h: Hypergraph, p, tol: float):
-    """What a query's solve depends on, decided once: (its edges in sorted
-    order, :func:`min_lambda`'s memo key, whether it takes the exact path).
-
-    The exact path takes rational p and at most KKT_EDGE_CAP edges.  Its key
-    ends in None and Frank-Wolfe's in ``tol``, so an exact and a floating
-    result never share an entry, even where a Fraction p equals a float."""
-    edges = tuple(sorted(h.edges))
-    exact = is_rational(p) and len(edges) <= KKT_EDGE_CAP
-    return edges, (h.n, edges, p, None if exact else tol), exact
 
 
 def min_lambda(h: Hypergraph, p, tol: float = DEFAULT_TOL) -> MinLambdaResult:
@@ -371,7 +348,10 @@ def min_lambda(h: Hypergraph, p, tol: float = DEFAULT_TOL) -> MinLambdaResult:
     KKT supports over each coupled block on its own; Q is block-diagonal
     and has a unique minimiser, so the result is the full enumeration's.
     Queries that need no solve are settled by :func:`_settled`; the rest
-    are memoised, one entry per query, on the canonical edge order."""
+    are memoised, one entry per query, on the canonical edge order.  The
+    memo key (n, sorted edges, p, None or tol) ends in None on the exact
+    path, so an exact and a floating result never share an entry, even
+    where a Fraction p equals a float."""
     settled = _settled(h, p, 1)
     if settled == "NO":
         raise InputError("minimum needs at least one edge")
@@ -380,7 +360,9 @@ def min_lambda(h: Hypergraph, p, tol: float = DEFAULT_TOL) -> MinLambdaResult:
         zero = Fraction(0) if rational else 0.0
         return MinLambdaResult(zero, _unit_witness(h, rational), zero, 0, rational)
 
-    edges, key, exact = _query(h, p, tol)
+    edges = tuple(sorted(h.edges))
+    exact = is_rational(p) and len(edges) <= KKT_EDGE_CAP
+    key = (h.n, edges, p, None if exact else tol)
     hit = _cache.get(key)
     if hit is None:
         canon = Hypergraph(h.n, edges)
@@ -409,12 +391,14 @@ def janson_threshold(h: Hypergraph, p):
 def _settled(h: Hypergraph, p, r) -> str | None:
     """"YES" or "NO" for a query that needs no solve, else None.
 
-    R < 0 and p outside (0, 1] raise InputError whatever the edges.  R = 0
-    is YES by convention.  For R > 0, no edges is NO (no measure has
-    positive mass) and an edge of size <= 1 is YES (unit mass on it has
-    zero overlap)."""
+    R < 0, a NaN or infinite R and p outside (0, 1] raise InputError
+    whatever the edges.  R = 0 is YES by convention.  For R > 0, no edges is
+    NO (no measure has positive mass) and an edge of size <= 1 is YES (unit
+    mass on it has zero overlap)."""
     if r < 0:
         raise InputError("R must be nonnegative")
+    if not r < INF:  # NaN compares false; exact for any int or Fraction
+        raise InputError("R must be finite")
     if not 0 < p <= 1:
         raise InputError("p must lie in (0, 1]")
     if r == 0:
@@ -521,16 +505,13 @@ def is_janson(h: Hypergraph, p, r) -> JansonVerdict:
 def require_verdict(h: Hypergraph, p, r, context: str = "") -> bool:
     """True/False for YES/NO; UNDECIDED aborts with the offending instance.
 
-    Queries that need no solve are settled by :func:`_settled`.  Exact
-    queries are then put to :func:`_bracket_verdict`; what its bracket
-    cannot decide meets the closed-form NO of :func:`_diagonal_no`, and only
-    what that leaves goes through :func:`is_janson`."""
+    One ladder: queries that need no solve are settled by
+    :func:`_settled`, the rest meet the closed-form NO of
+    :func:`_diagonal_no`, and only what that leaves goes through
+    :func:`is_janson`."""
     settled = _settled(h, p, r)
     if settled is not None:
         return settled == "YES"
-    decided = _bracket_verdict(h, p, r)
-    if decided is not None:
-        return decided
     if _diagonal_no(h, p, r):
         return False
     verdict = is_janson(h, p, r)
@@ -540,36 +521,3 @@ def require_verdict(h: Hypergraph, p, r, context: str = "") -> bool:
             detail={"edges": h.edges, "n": h.n, "p": p, "R": r, "gap": verdict.gap},
         )
     return verdict.answer == "YES"
-
-
-def _bracket_verdict(h: Hypergraph, p, r):
-    """The exact answer to "is lambda_p < 1/R somewhere on the simplex?",
-    or None when this shortcut does not apply or cannot tell.
-
-    It applies, after :func:`_settled`, where :func:`is_janson` would
-    enumerate: rational R, a query on the exact path of :func:`_query`, and
-    no memoised minimum yet.  A floating Frank-Wolfe point, made exact and
-    of mass one, goes through :func:`_decide`, which answers exactly; None
-    when 1/R lies between its dual bound and lambda_p."""
-    if not is_rational(r):
-        return None
-    edges, key, exact = _query(h, p, DEFAULT_TOL)
-    if not exact or key in _cache:
-        return None
-    key = key[:3] + (Fraction(r),)
-    if key in _brackets:
-        return _brackets[key]
-    canon = Hypergraph(h.n, edges)
-    try:
-        q = overlap_matrix(canon, float(p), exact=False)
-        point = _frank_wolfe(q, BRACKET_MAX_ITER, DEFAULT_TOL, 1.0 / float(r))[0]
-        # on the dyadic grid of step 2^-48, the rounding residue moved to
-        # the largest coordinate so that the mass is exactly one
-        grid = [round(v * _GRID) for v in point]
-    except (ArithmeticError, ValueError):
-        return None  # p, R or the overlaps beyond float range: enumerate
-    grid[grid.index(max(grid))] += _GRID - sum(grid)
-    x = Measure(canon, tuple(Fraction(k, _GRID) for k in grid), exact=True)
-    answer = _decide(x, p, r)[0]
-    decided = _brackets[key] = {"YES": True, "NO": False}.get(answer)
-    return decided

@@ -73,7 +73,7 @@ def janson_family():
         rs = [r_star, r_star * (1 - eps), r_star * (1 + eps), r_star / 2, r_star * 2]
         janson.clear_cache()
         required = []
-        for r in rs:  # first, so that the bracket shortcut runs on a cold memo
+        for r in rs:  # first, so that require_verdict runs on a cold memo
             try:
                 required.append(janson.require_verdict(h, p, r))
             except UndecidedError:

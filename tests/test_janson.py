@@ -52,6 +52,10 @@ def closed_form(s, p):
     return (1 + 1 / F(p)) ** s - 1 - s / F(p)
 
 
+def _no_frank_wolfe(*args):
+    raise AssertionError("the exact path ran Frank-Wolfe")
+
+
 class TestMinLambda:
     def test_single_2edge(self):
         res = min_lambda(single_edge(2), F(1, 2))
@@ -700,8 +704,8 @@ R_PLACES = ["at", "above", "below", "far above", "far below"]
 
 
 class TestRequireVerdict:
-    """require_verdict decides exact queries from a bracket and must give
-    exactly is_janson's answer."""
+    """require_verdict takes one ladder (settled, diagonal NO, is_janson)
+    and must give exactly is_janson's answer."""
 
     @staticmethod
     def place(r_star, where, eps):
@@ -719,7 +723,7 @@ class TestRequireVerdict:
         st.sampled_from(R_PLACES),
         st.sampled_from([F(1, 10**3), F(1, 10**6), F(1, 10**12)]),
     )
-    # uniform optima on the dyadic grid: the bracket itself meets R*
+    # uniform optima: R* itself is a NO
     @example(single_edge(2), F(1, 2), "at", F(1, 10**3))
     @example(disjoint_edges(2), F(1, 5), "at", F(1, 10**3))
     @example(disjoint_edges(4, 3), F(2, 3), "at", F(1, 10**3))
@@ -732,19 +736,19 @@ class TestRequireVerdict:
         r = self.place(janson_threshold(h, p), where, eps)
         want = is_janson(h, p, r).answer == "YES"
         clear_cache()
-        bracket = janson._bracket_verdict(h, p, r)
-        assert bracket in (None, want)
-        assert require_verdict(h, p, r) == want
-        if where.startswith("far"):
-            assert bracket is not None  # decided without the enumeration
+        # rational p and R within the edge cap: the exact path, which never
+        # runs Frank-Wolfe
+        assert len(h.edges) <= janson.KKT_EDGE_CAP
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(janson, "_frank_wolfe", _no_frank_wolfe)
+            assert require_verdict(h, p, r) == want
         if where == "at":
             assert want is False
 
     def test_threshold_falls_through_to_the_enumeration(self, monkeypatch):
-        # the optimum (1/3 on each edge) is off the dyadic grid, so the
-        # bracket straddles R* = 3/28; the edges share pairs, so the diagonal
-        # bound sum 1/Q_ii = 3/20 lies above R* and cannot answer, and
-        # is_janson's enumeration does
+        # the edges share pairs, so the diagonal bound sum 1/Q_ii = 3/20
+        # lies above R* = 3/28 and cannot answer either query; is_janson's
+        # enumeration does, once, and the second query reuses its minimum
         h = Hypergraph.from_vertex_lists(4, [[0, 1, 2], [0, 1, 3], [0, 2, 3]])
         p = F(1, 2)
         r_star = janson_threshold(h, p)
@@ -754,10 +758,9 @@ class TestRequireVerdict:
         original = janson.is_janson
         monkeypatch.setattr(janson, "is_janson", lambda *a: calls.append(a) or original(*a))
         assert require_verdict(h, p, r_star) is False
-        assert len(calls) == 1
-        clear_cache()
         assert require_verdict(h, p, r_star * (1 - F(1, 10**6))) is True
-        assert len(calls) == 1
+        assert len(calls) == 2
+        assert len(janson._cache) == 1
 
     @pytest.mark.parametrize("edges", [(0,), (1,), (0b110, 0b1), (0b11, 0b110, 0b1000, 0b1100)])
     @pytest.mark.parametrize("p", [F(1, 2), F(1, 64), 0.3])
@@ -824,6 +827,14 @@ class TestRequireVerdict:
             with pytest.raises(InputError):
                 require_verdict(h, p, r)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("p", [F(1, 2), 0.5])
+    @pytest.mark.parametrize("query", [is_janson, require_verdict])
+    def test_r_must_be_finite(self, query, p, r):
+        h = Hypergraph.from_vertex_lists(4, [[0, 1, 2], [0, 1, 3], [0, 2, 3]])
+        with pytest.raises(InputError, match="R must be (finite|nonnegative)"):
+            query(h, p, r)
+
     @given(
         hypergraphs(min_n=3, max_n=7, max_edges=8, min_edge_size=2).filter(lambda h: h.edges),
         st.sampled_from([F(1), F(2, 3), F(1, 2), F(1, 5), 1.0, 0.5, 0.3]),
@@ -846,20 +857,20 @@ class TestRequireVerdict:
             assert janson_threshold(h, p) == bound
             assert janson._diagonal_no(h, p, r) == (factor >= 1)
 
-    def test_brackets_are_memoised_until_clear_cache(self):
+    def test_queries_are_memoised_until_clear_cache(self):
+        # one entry per minimum: exact and floating p keep apart, and a
+        # floating R on rational p or a repeated query reuses its entry
         h = disjoint_edges(3)
         clear_cache()
         assert require_verdict(h, F(1, 2), F(1, 2)) is True
-        assert len(janson._brackets) == 1
+        assert len(janson._cache) == 1
+        assert require_verdict(h, 0.5, 0.5) is True
+        assert len(janson._cache) == 2
+        assert require_verdict(h, F(1, 2), 0.5) is True
+        assert require_verdict(h, 0.5, 0.5) is True
+        assert len(janson._cache) == 2
         clear_cache()
-        assert not janson._brackets
-
-    def test_memoised_minimum_skips_the_bracket(self):
-        h = disjoint_edges(3)
-        clear_cache()
-        min_lambda(h, F(1, 2))
-        assert require_verdict(h, F(1, 2), F(1, 2)) is True
-        assert not janson._brackets
+        assert not janson._cache
 
     @pytest.mark.parametrize("order", [(F(1, 2), 0.5), (0.5, F(1, 2))])
     def test_rational_and_float_p_do_not_share_a_minimum(self, order):
@@ -871,12 +882,6 @@ class TestRequireVerdict:
         assert results[F].exact and isinstance(results[F].value, F)
         assert not results[float].exact and isinstance(results[float].value, float)
         assert len(janson._cache) == 2
-
-    def test_floating_queries_keep_the_old_path(self):
-        clear_cache()
-        assert require_verdict(disjoint_edges(3), 0.5, 0.5) is True
-        assert require_verdict(disjoint_edges(3), F(1, 2), 0.5) is True
-        assert not janson._brackets
 
     @pytest.mark.parametrize("p", [F(1, 2**1100), F(1, 2**200), F(1, 2**60)])
     def test_beyond_float_range_agrees(self, p):
