@@ -857,20 +857,42 @@ class TestRequireVerdict:
             assert janson_threshold(h, p) == bound
             assert janson._diagonal_no(h, p, r) == (factor >= 1)
 
-    def test_queries_are_memoised_until_clear_cache(self):
-        # one entry per minimum: exact and floating p keep apart, and a
-        # floating R on rational p or a repeated query reuses its entry
+    def test_brackets_are_memoised_until_clear_cache(self):
+        # the one memo is min_lambda's: a repeated query reuses its entry
         h = disjoint_edges(3)
         clear_cache()
         assert require_verdict(h, F(1, 2), F(1, 2)) is True
         assert len(janson._cache) == 1
-        assert require_verdict(h, 0.5, 0.5) is True
-        assert len(janson._cache) == 2
-        assert require_verdict(h, F(1, 2), 0.5) is True
-        assert require_verdict(h, 0.5, 0.5) is True
-        assert len(janson._cache) == 2
+        assert require_verdict(h, F(1, 2), F(1, 2)) is True
+        assert len(janson._cache) == 1
         clear_cache()
         assert not janson._cache
+
+    def test_memoised_minimum_skips_the_bracket(self, monkeypatch):
+        # a minimum already in the memo answers without a second solve
+        h = disjoint_edges(3)
+        clear_cache()
+        min_lambda(h, F(1, 2))
+
+        def no_solve(*args):
+            raise AssertionError("the memoised minimum was solved again")
+
+        monkeypatch.setattr(janson, "_min_lambda_blocks", no_solve)
+        monkeypatch.setattr(janson, "_frank_wolfe", no_solve)
+        assert require_verdict(h, F(1, 2), F(1, 2)) is True
+        assert len(janson._cache) == 1
+
+    def test_floating_queries_keep_the_old_path(self):
+        # floating p takes Frank-Wolfe and keeps an entry apart from the
+        # exact one; a floating R on rational p reuses the exact entry
+        h = disjoint_edges(3)
+        clear_cache()
+        assert require_verdict(h, 0.5, 0.5) is True
+        assert [key[-1] for key in janson._cache] == [janson.DEFAULT_TOL]
+        assert require_verdict(h, F(1, 2), 0.5) is True
+        assert sorted(key[-1] is None for key in janson._cache) == [False, True]
+        assert require_verdict(h, 0.5, 0.5) is True
+        assert len(janson._cache) == 2
 
     @pytest.mark.parametrize("order", [(F(1, 2), 0.5), (0.5, F(1, 2))])
     def test_rational_and_float_p_do_not_share_a_minimum(self, order):
