@@ -148,7 +148,8 @@ def induced_copy_hypergraph(f: Graph, g_prime: Graph, g: Graph) -> CopyHypergrap
                 l_mask = mask_of(combo)
                 edges.append(l_mask)
                 witnesses[l_mask] = phi
-    return CopyHypergraph(Hypergraph(g.n, tuple(sorted(edges))), witnesses)
+    # distinct k-sets of range(g.n): nothing for Hypergraph to re-check
+    return CopyHypergraph(Hypergraph._unchecked(g.n, tuple(sorted(edges))), witnesses)
 
 
 class ExtensionHypergraph(Value):

@@ -98,6 +98,17 @@ class Value:
         for name, value in state[1].items():
             _set(self, name, value)
 
+    @classmethod
+    def _unchecked(cls, *fields):
+        """An instance with ``fields`` set in slot order, as
+        ``__setstate__`` restores them, and none of ``__init__``'s checks.
+        Only for a value valid by construction, derived inside the package
+        from values already checked; public constructors always check."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            _set(self, name, value)
+        return self
+
 
 # the one tuple of each vertex pair handed out by Graph.edges, filled as
 # pairs are first met: at most C(UNIVERSE_CAP, 2) = 2016 entries
@@ -190,8 +201,9 @@ class Graph(Value):
 
     def restrict(self, mask: int) -> "Graph":
         """G[mask] on the same vertex set: edges with both ends in ``mask``
-        keep their labels; every other vertex becomes isolated."""
-        return Graph(
+        keep their labels; every other vertex becomes isolated.  Masking a
+        valid symmetric adjacency keeps it valid, so nothing is re-checked."""
+        return Graph._unchecked(
             self.n, tuple(row & mask if mask >> v & 1 else 0 for v, row in enumerate(self.adj))
         )
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from .errors import BudgetError, InputError, UndecidedError
@@ -56,6 +57,7 @@ from .hypercore import Hypergraph, Value, _set, bits_of, popcount
 from .measures import Measure, is_rational, overlap_sums, pair_coefficient
 
 KKT_EDGE_CAP = 10  # exact path: a coupled block of k edges has 2^k - 1 supports
+INVERSE_DIAGONALS = 256  # (edge size, p, exact) entries of the 1/Q_ii memo
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10**6
 
@@ -337,7 +339,9 @@ _cache: dict = {}  # min_lambda's memo key -> (result, canonical edge order)
 
 
 def clear_cache():
+    """Empty both memos: ``_cache`` and the 1/Q_ii memo."""
     _cache.clear()
+    _inverse_coefficient.cache_clear()
 
 
 def min_lambda(h: Hypergraph, p, tol: float = DEFAULT_TOL) -> MinLambdaResult:
@@ -416,13 +420,21 @@ def _unit_witness(h: Hypergraph, exact: bool) -> Measure:
     return Measure.unit_on(h, next(i for i, e in enumerate(h.edges) if popcount(e) <= 1), exact)
 
 
+@lru_cache(maxsize=INVERSE_DIAGONALS)
+def _inverse_coefficient(c: int, p, exact: bool):
+    """1 / pair_coefficient(c, p, exact), memoised.  The key holds
+    ``exact``, so a Fraction p and an equal float never share an entry."""
+    return 1 / pair_coefficient(c, p, exact)
+
+
 def _inverse_diagonal(sizes, p, exact: bool) -> dict:
     """{edge size c: 1/Q_ii} for each distinct size in ``sizes``.  Q_ii =
-    pair_coefficient(|E_i|, p) depends on the size alone, so it is taken
-    once per size; it is > 0 once :func:`_settled` has ruled out edges of
-    size <= 1.  Read by the Cauchy-Schwarz NO of :func:`_diagonal_no` and
-    the closed form of :func:`_min_lambda_blocks`."""
-    return {c: 1 / pair_coefficient(c, p, exact) for c in set(sizes)}
+    pair_coefficient(|E_i|, p) depends on the size alone, so it is read
+    once per size from a memo that :func:`clear_cache` empties; it is > 0
+    once :func:`_settled` has ruled out edges of size <= 1.  Read by the
+    Cauchy-Schwarz NO of :func:`_diagonal_no` and the closed form of
+    :func:`_min_lambda_blocks`."""
+    return {c: _inverse_coefficient(c, p, exact) for c in set(sizes)}
 
 
 def _diagonal_no(h: Hypergraph, p, r) -> bool:
@@ -442,6 +454,16 @@ def _diagonal_no(h: Hypergraph, p, r) -> bool:
     return r >= (1 + DEFAULT_TOL) * total
 
 
+def _float(r) -> float:
+    """R as a float on the floating path: an R past the float range, which
+    :func:`_settled` has already found finite, is +inf, so it decides as
+    any larger R would."""
+    try:
+        return float(r)
+    except OverflowError:
+        return INF
+
+
 def _decide(x: Measure, p, r):
     """The one YES/NO rule, on a mass-one point x: (answer, dual bound at
     x), both read off one :func:`_evaluate` pass.
@@ -451,7 +473,7 @@ def _decide(x: Measure, p, r):
     convexity that bound lies below the simplex minimum, whatever solver
     produced x.  Otherwise UNDECIDED."""
     lam, dual = _evaluate(x, p)
-    r = Fraction(r) if x.exact else float(r)
+    r = Fraction(r) if x.exact else _float(r)
     if r * lam < 1 if x.exact else r * lam <= 1.0 - DEFAULT_TOL:
         return "YES", dual
     if r * dual >= 1:
@@ -488,7 +510,7 @@ def is_janson(h: Hypergraph, p, r) -> JansonVerdict:
     value, exact = result.value, result.exact
     lower = value - result.gap
     answer, dual = "UNDECIDED", None
-    if exact or float(r) * value < 1.0 or float(r) * lower >= 1.0:
+    if exact or _float(r) * value < 1.0 or _float(r) * lower >= 1.0:
         answer, dual = _decide(result.witness, p, r)
     note = ""
     if answer == "UNDECIDED":

@@ -183,12 +183,16 @@ class EventReport:
 
 def _colorings(g: Graph, r: int, budget: int, rng: SplitMix64):
     """(sampled, colourings): all colourings when they fit the budget, a
-    seeded uniform sample of ``budget`` colourings otherwise."""
+    seeded uniform sample of ``budget`` colourings otherwise.  The keys are
+    g's edges (u, v), u < v, and the colours lie in 1..r, so each colouring
+    is built unchecked."""
     edges = g.edges()
     if r ** len(edges) <= budget:
         combos = itertools.product(range(1, r + 1), repeat=len(edges))
-        return False, (Coloring(r, dict(zip(edges, combo))) for combo in combos)
-    return True, (Coloring(r, {e: 1 + rng.below(r) for e in edges}) for _ in range(budget))
+        return False, (Coloring._unchecked(r, dict(zip(edges, combo))) for combo in combos)
+    return True, (
+        Coloring._unchecked(r, {e: 1 + rng.below(r) for e in edges}) for _ in range(budget)
+    )
 
 
 def _sample_subsets(subsets: list, budget: int, rng: SplitMix64, report: EventReport) -> list:
@@ -220,11 +224,12 @@ def _large_subsets(n: int, floor: int, event: str) -> list:
 
 def _copies_inside(target: Graph, colour_graph: Graph, g: Graph, mask: int) -> Hypergraph:
     """The induced copies of the target in the colour graph that lie inside
-    ``mask``; a full mask keeps the copy hypergraph as built."""
+    ``mask``; a full mask keeps the copy hypergraph as built.  A
+    subsequence of a valid edge tuple is valid, so it is not re-checked."""
     hyper = induced_copy_hypergraph(target, colour_graph, g).hyper
     if mask == (1 << hyper.n) - 1:
         return hyper
-    return Hypergraph(hyper.n, tuple(e for e in hyper.edges if e & ~mask == 0))
+    return Hypergraph._unchecked(hyper.n, tuple(e for e in hyper.edges if e & ~mask == 0))
 
 
 def _sweep(report: EventReport, g: Graph, windows, p, budget: int, rng: SplitMix64):

@@ -27,7 +27,7 @@ from jcontainers.containers import (
 )
 from jcontainers.copies import extension_hypergraph, induced_copy_hypergraph
 from jcontainers.errors import BudgetError, UndecidedError
-from jcontainers.hypercore import Graph, Hypergraph, mask_of
+from jcontainers.hypercore import Coloring, Graph, Hypergraph, Value, mask_of
 from jcontainers.prng import SplitMix64
 from jcontainers.ramsey import (
     check_event_bad,
@@ -250,3 +250,18 @@ def family_digests(name):
 def test_golden_library(name):
     got = family_digests(name)
     assert got == {key: d for key, d in GOLDEN.items() if key[0] == name}
+
+
+def test_events_replay_with_every_value_checked(monkeypatch):
+    # the values the colouring sweep builds unchecked, built by the
+    # checking constructors instead, give the same reports
+    built = []
+
+    def checked(cls, *fields):
+        built.append(cls)
+        return cls(*fields)
+
+    monkeypatch.setattr(Value, "_unchecked", classmethod(checked))
+    got = family_digests("events")
+    assert got == {key: d for key, d in GOLDEN.items() if key[0] == "events"}
+    assert {Graph, Hypergraph, Coloring} <= set(built)

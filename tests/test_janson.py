@@ -21,7 +21,7 @@ from jcontainers.janson import (
     overlap_matrix,
     require_verdict,
 )
-from jcontainers.measures import Measure, lambda_p, lambda_p_subsets
+from jcontainers.measures import Measure, lambda_p, lambda_p_subsets, pair_coefficient
 from jcontainers.prng import SplitMix64
 
 import paper
@@ -858,7 +858,7 @@ class TestRequireVerdict:
             assert janson._diagonal_no(h, p, r) == (factor >= 1)
 
     def test_brackets_are_memoised_until_clear_cache(self):
-        # the one memo is min_lambda's: a repeated query reuses its entry
+        # min_lambda's memo: a repeated query reuses its one entry
         h = disjoint_edges(3)
         clear_cache()
         assert require_verdict(h, F(1, 2), F(1, 2)) is True
@@ -916,3 +916,42 @@ class TestRequireVerdict:
             want = is_janson(h, p, r).answer == "YES"
             clear_cache()
             assert require_verdict(h, p, r) == want
+
+    @pytest.mark.parametrize("r", [10**400, F(10**400)], ids=["int", "Fraction"])
+    def test_r_past_the_float_range_is_no_on_the_floating_path(self, r):
+        # float(r) overflows; the floating path reads R as +inf and answers
+        # NO, as require_verdict's exact diagonal comparison does
+        h = Hypergraph.from_vertex_lists(4, [[0, 1, 2], [0, 1, 3], [0, 2, 3]])
+        clear_cache()
+        verdict = is_janson(h, 0.5, r)
+        assert verdict.answer == "NO" and not verdict.exact
+        assert verdict.dual_bound > 0
+        assert janson._decide(min_lambda(h, 0.5).witness, 0.5, r)[0] == "NO"
+        assert require_verdict(h, 0.5, r) is False
+
+
+class TestInverseDiagonalMemo:
+    @pytest.mark.parametrize("p", [F(1, 2), F(1, 5), F(2, 3), 0.5, 0.3])
+    def test_memo_equals_the_coefficient(self, p):
+        exact = isinstance(p, F)
+        clear_cache()
+        for _ in range(2):  # a miss, then a hit
+            got = janson._inverse_diagonal(range(2, 9), p, exact)
+            assert got == {c: 1 / pair_coefficient(c, p, exact) for c in range(2, 9)}
+        assert janson._inverse_coefficient.cache_info().hits == 7
+
+    @pytest.mark.parametrize("order", [(F(1, 2), 0.5), (0.5, F(1, 2))])
+    def test_exact_and_floating_p_do_not_share_an_entry(self, order):
+        # F(1, 2) == 0.5 and both hash alike; the key's exact flag parts them
+        clear_cache()
+        got = {type(p): janson._inverse_diagonal([3], p, isinstance(p, F))[3] for p in order}
+        assert type(got[F]) is F and type(got[float]) is float
+        assert janson._inverse_coefficient.cache_info().currsize == 2
+
+    def test_clear_cache_empties_the_memo(self):
+        clear_cache()
+        assert require_verdict(disjoint_edges(3), F(1, 2), 100) is False  # the diagonal NO
+        assert janson._inverse_coefficient.cache_info().currsize == 1
+        clear_cache()
+        assert janson._inverse_coefficient.cache_info().currsize == 0
+        assert not janson._cache

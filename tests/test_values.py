@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jcontainers.copies import _copy_table, extension_hypergraph
+from jcontainers.copies import _copy_table, extension_hypergraph, induced_copy_hypergraph
 from jcontainers.errors import InputError
 from jcontainers.hypercore import Coloring, Graph, Hypergraph, VertexMap, bits_of
 from jcontainers.measures import Measure
@@ -85,6 +85,33 @@ def test_fields_are_read_only(cls, data):
             delattr(value, name)
     assert not hasattr(value, "__dict__")
     assert copy.deepcopy(value) == value == pickle.loads(pickle.dumps(value))
+
+
+@pytest.mark.parametrize("cls", [Graph, Hypergraph, Coloring], ids=lambda cls: cls.__name__)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_unchecked_value_is_the_checked_one(cls, data):
+    fields = data.draw(VALID[cls])
+    value, checked = cls._unchecked(*fields), cls(*rebuilt(fields))
+    assert type(value) is cls
+    assert value == checked and hash(value) == hash(checked)
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    assert not hasattr(value, "__dict__")
+    assert pickle.loads(pickle.dumps(value)) == checked
+
+
+@given(graphs(max_n=8), graphs(max_n=3), st.integers(0, (1 << 8) - 1))
+@settings(max_examples=80, deadline=None)
+def test_unchecked_derivations_pass_the_checks(g, f, mask):
+    # what restrict and the copy hypergraph build unchecked, the public
+    # constructors accept
+    sub = g.restrict(mask)
+    assert Graph(sub.n, sub.adj) == sub
+    for g_prime in (g, sub):
+        hyper = induced_copy_hypergraph(f, g_prime, g).hyper
+        assert Hypergraph(hyper.n, hyper.edges) == hyper
 
 
 def test_extension_pi_is_built_once():
