@@ -16,6 +16,8 @@ record, never in the payload.
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib.util
 import json
 import os
 import re
@@ -25,26 +27,31 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, fileio
-from .containers import (
-    cover_certificate,
-    extension_containers,
-    hardcover_family,
-    non_janson_containers,
-)
-from .copies import extension_hypergraph, induced_copy_hypergraph
 from .errors import BudgetError, InputError, UndecidedError
 from .hypercore import UNIVERSE_CAP, Graph, bits_of
-from .janson import is_janson
-from .ramsey import (
-    CONFIG_FIELDS,
-    ExperimentConfig,
-    arrows_induced,
-    check_event_bad,
-    check_event_bad_prime,
-    check_event_inductive,
-    chernoff_experiment,
-    extension_experiment,
-)
+
+
+def _deferred(name: str):
+    """The library module ``name``, registered in ``sys.modules`` and bound
+    on the package as an import would, but compiled and run only when one
+    of its attributes is first read: a subcommand pays only for the modules
+    it uses.  A module already imported is returned as it is."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+containers = _deferred("containers")
+copies = _deferred("copies")
+janson = _deferred("janson")
+ramsey = _deferred("ramsey")
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -158,16 +165,13 @@ def persist(outdir: str, record: RunRecord, payload_text: str, extra_files: dict
     (out / "record.json").write_text(emit(fields))
 
 
-def _config_keys() -> dict:
+@functools.cache
+def config_keys() -> dict:
     """Config key -> the type its value is read as, one per row of
     ``ramsey.CONFIG_FIELDS``, the table ``ExperimentConfig`` takes its keys
-    and defaults from (a seed, delta or p left out is None)."""
-    return {key: caster for key, caster, _ in CONFIG_FIELDS}
-
-
-CONFIG_KEYS = _config_keys()
-
-COUNT_KEYS = {key for key, caster in CONFIG_KEYS.items() if caster is int} - {"seed"}
+    and defaults from (a seed, delta or p left out is None).  Built on
+    first use, as reading the table runs ``ramsey``."""
+    return {key: caster for key, caster, _ in ramsey.CONFIG_FIELDS}
 
 
 def _range_problem(key: str, value):
@@ -176,12 +180,12 @@ def _range_problem(key: str, value):
         return "p must lie in (0, 1]"
     if key == "delta" and not value > 0:
         return "delta must be positive"
-    if key in COUNT_KEYS and value < 0:
+    if key != "seed" and config_keys()[key] is int and value < 0:
         return f"{key} must be nonnegative"
     return None
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str) -> ramsey.ExperimentConfig:
     """Parse ``key = value`` lines into an experiment configuration; a key
     left out takes its ``ExperimentConfig`` default.
 
@@ -190,15 +194,16 @@ def load_config(path: str) -> ExperimentConfig:
     are rejected with their line number, and so are a p outside (0, 1], a
     delta that is not positive and a negative count (every integer key but
     the seed)."""
+    keys = config_keys()
     raw = {}
     for lineno, line in fileio.meaningful_lines(_read(path, "config")):
         if "=" not in line:
             raise InputError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in CONFIG_KEYS:
+        if key not in keys:
             raise InputError(f"line {lineno}: unknown key {key!r}")
-        caster = CONFIG_KEYS[key]
+        caster = keys[key]
         try:
             if caster in (Fraction, float):
                 raw[key] = fileio.parse_number(value, exact=caster is Fraction)
@@ -209,7 +214,7 @@ def load_config(path: str) -> ExperimentConfig:
         problem = _range_problem(key, raw[key])
         if problem:
             raise InputError(f"line {lineno}: {problem}, got {value}")
-    return ExperimentConfig(**raw)
+    return ramsey.ExperimentConfig(**raw)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -243,7 +248,7 @@ def cmd_janson(args):
     h = _hypergraph(args.hypergraph, "hypergraph")
     p = _parse_rational(args.p)
     r = _parse_rational(args.R)
-    verdict = is_janson(h, p, r)
+    verdict = janson.is_janson(h, p, r)
     payload = {
         "answer": verdict.answer,
         "r_star": verdict.r_star,
@@ -262,11 +267,11 @@ def cmd_janson(args):
 
 def cmd_copies(args):
     f, gp, g = (_graph(getattr(args, key), key) for key in ("F", "Gprime", "G"))
-    copies = induced_copy_hypergraph(f, gp, g)
-    hg_text = fileio.write_hypergraph(copies.hyper)
+    built = copies.induced_copy_hypergraph(f, gp, g)
+    hg_text = fileio.write_hypergraph(built.hyper)
     prov_lines = []
-    for e in copies.hyper.edges:
-        phi = copies.witnesses[e]
+    for e in built.hyper.edges:
+        phi = built.witnesses[e]
         prov_lines.append(
             " ".join(str(v) for v in bits_of(e))
             + " -> "
@@ -274,16 +279,16 @@ def cmd_copies(args):
         )
     prov_text = "\n".join(prov_lines) + ("\n" if prov_lines else "")
     payload = {
-        "n": copies.hyper.n,
-        "edge_count": len(copies.hyper.edges),
-        "edges": [bits_of(e) for e in copies.hyper.edges],
+        "n": built.hyper.n,
+        "edge_count": len(built.hyper.edges),
+        "edges": [bits_of(e) for e in built.hyper.edges],
     }
     return EXIT_OK, emit(payload), {"copies.hg": hg_text, "copies.prov": prov_text}
 
 
 def cmd_hardcover(args):
     h = _hypergraph(args.hypergraph, "hypergraph")
-    family = hardcover_family(
+    family = containers.hardcover_family(
         h,
         _parse_rational(args.q),
         _parse_rational(args.alpha),
@@ -305,7 +310,7 @@ def cmd_certify_cover(args):
     target = _hypergraph(args.target, "target")
     cover = _hypergraph(args.cover, "cover")
     p = _parse_rational(args.p)
-    cert = cover_certificate(target, cover, p)
+    cert = containers.cover_certificate(target, cover, p)
     payload = {
         "p": p,
         "weight": cert.weight,
@@ -318,7 +323,7 @@ def cmd_certify_cover(args):
 
 def cmd_containers(args):
     h = _hypergraph(args.hypergraph, "hypergraph")
-    family = non_janson_containers(
+    family = containers.non_janson_containers(
         h,
         _parse_rational(args.p),
         _parse_rational(args.q),
@@ -332,9 +337,9 @@ def cmd_containers(args):
 
 def cmd_extend_containers(args):
     f, gp, g = (_graph(getattr(args, key), key) for key in ("F", "Gprime", "G"))
-    ext = extension_hypergraph(f, args.w, gp, g)
-    base = induced_copy_hypergraph(f, gp, g).hyper
-    family = extension_containers(
+    ext = copies.extension_hypergraph(f, args.w, gp, g)
+    base = copies.induced_copy_hypergraph(f, gp, g).hyper
+    family = containers.extension_containers(
         ext,
         base,
         ext.m,
@@ -365,7 +370,7 @@ def _pipeline_result(family, extra: dict):
     return code, emit(payload), {}
 
 
-def _seed_from(args, cfg: ExperimentConfig) -> int:
+def _seed_from(args, cfg: ramsey.ExperimentConfig) -> int:
     """``--seed``, else the config's seed, else ``JC_SEED``, else 0."""
     if args.seed is not None:
         return args.seed
@@ -383,7 +388,7 @@ def _seed_from(args, cfg: ExperimentConfig) -> int:
 def cmd_arrows(args):
     g = _graph(args.G, "G")
     h = _graph(args.H, "H")
-    result = arrows_induced(g, h, args.r, budget=args.budget)
+    result = ramsey.arrows_induced(g, h, args.r, budget=args.budget)
     return EXIT_OK, emit({"arrows": result, "r": args.r}), {}
 
 
@@ -391,20 +396,20 @@ def cmd_event(args):
     specs = args.H.split(",")
     if "" in specs:
         raise InputError(f"--H has an empty item: {args.H!r}")
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    cfg = load_config(args.config) if args.config else ramsey.ExperimentConfig()
     g = _graph(args.G, "G")
     keys = ["H"] if len(specs) == 1 else [f"H[{i}]" for i in range(len(specs))]
     targets = [_graph(spec, key) for spec, key in zip(specs, keys)]
     sampling = {"budget_colorings": cfg.budget_colorings, "seed": _seed_from(args, cfg)}
     if args.kind == "B":
-        report = check_event_bad(g, targets, cfg.p, **sampling)
+        report = ramsey.check_event_bad(g, targets, cfg.p, **sampling)
     elif args.kind == "Bprime":
-        report = check_event_bad_prime(
+        report = ramsey.check_event_bad_prime(
             g, targets, cfg.p, cfg.delta, budget_subsets=cfg.budget_subsets, **sampling
         )
     else:
         sizes = [t.n for t in targets]
-        report = check_event_inductive(
+        report = ramsey.check_event_inductive(
             g, sizes, cfg.p, cfg.delta, budget_subsets=cfg.budget_subsets, **sampling
         )
     payload = {
@@ -420,12 +425,12 @@ def cmd_event(args):
 
 
 def cmd_mc(args):
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    cfg = load_config(args.config) if args.config else ramsey.ExperimentConfig()
     seed = _seed_from(args, cfg)
     if args.experiment == "chernoff":
-        report = chernoff_experiment(cfg.n, cfg.usize, cfg.ssize, cfg.trials, seed)
+        report = ramsey.chernoff_experiment(cfg.n, cfg.usize, cfg.ssize, cfg.trials, seed)
     else:
-        report = extension_experiment(
+        report = ramsey.extension_experiment(
             _graph(cfg.F, "F"),
             cfg.m,
             cfg.r,

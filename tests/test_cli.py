@@ -842,7 +842,7 @@ class TestConfig:
 
     def test_every_config_key_is_a_field(self):
         names = {key for key, _, _ in CONFIG_FIELDS}
-        assert set(cli.CONFIG_KEYS) == names == set(ExperimentConfig.__slots__) - {"scaled"}
+        assert set(cli.config_keys()) == names == set(ExperimentConfig.__slots__) - {"scaled"}
 
 
 class TestDeterminism:
