@@ -276,8 +276,9 @@ def _context_for(
     n: int, independent: list[bool], t_mask: int, q: Fraction, bar: Fraction, counts: list[int]
 ) -> _ZetaContext:
     """The context of the non-strict link at T: S is kept when S | T is
-    independent."""
-    keep = [independent[m | t_mask] for m in range(1 << n)]
+    independent.  At T = 0 that is ``independent`` itself, which the table
+    only reads, so it is passed as it is."""
+    keep = independent if t_mask == 0 else [independent[m | t_mask] for m in range(1 << n)]
     table = _superset_weight_table(n, keep, q, counts)
     u, v = bar.numerator, bar.denominator
     return _ZetaContext(table, [table[0] * u**k // v**k for k in range(n + 1)])

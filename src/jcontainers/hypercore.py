@@ -113,6 +113,8 @@ class Value:
 # the one tuple of each vertex pair handed out by Graph.edges, filled as
 # pairs are first met: at most C(UNIVERSE_CAP, 2) = 2016 entries
 _PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
+# 1 << v for every vertex v a universe can hold: the diagonal Graph checks
+_UNIT_BITS = tuple(1 << v for v in range(UNIVERSE_CAP))
 
 
 class Graph(Value):
@@ -130,12 +132,15 @@ class Graph(Value):
         _check_universe(n)
         if len(adj) != n:
             raise InputError("adjacency length must equal vertex count")
-        full = (1 << n) - 1
-        for v, row in enumerate(adj):
-            if row & ~full:
-                raise InputError(f"vertex {v} has a neighbour outside [0, n)")
-            if row >> v & 1:
-                raise InputError(f"self-loop at vertex {v}")
+        outside = ~((1 << n) - 1)
+        # range and diagonal as two C-level passes; the per-vertex loop,
+        # which names the first offender, runs only when one of them fails
+        if any(map(outside.__and__, adj)) or any(map(int.__and__, adj, _UNIT_BITS)):
+            for v, row in enumerate(adj):
+                if row & outside:
+                    raise InputError(f"vertex {v} has a neighbour outside [0, n)")
+                if row >> v & 1:
+                    raise InputError(f"self-loop at vertex {v}")
         for v in range(n):
             for u in bits_of(adj[v]):
                 if not adj[u] >> v & 1:
@@ -197,7 +202,7 @@ class Graph(Value):
         """Edge containment on a shared vertex set."""
         if self.n != other.n:
             return False
-        return all(self.adj[v] & ~other.adj[v] == 0 for v in range(self.n))
+        return not any(map(int.__and__, self.adj, map(int.__invert__, other.adj)))
 
     def restrict(self, mask: int) -> "Graph":
         """G[mask] on the same vertex set: edges with both ends in ``mask``

@@ -149,7 +149,7 @@ def find_bad_coloring(
         bit = 1 << i
         for c, after in steps[opened]:
             worn[c] |= bit
-            if all(inner & ~worn[c] for inner in closing[c][i]) and backtrack(i + 1, after):
+            if all(map((~worn[c]).__and__, closing[c][i])) and backtrack(i + 1, after):
                 return True
             worn[c] ^= bit
         return False

@@ -6,10 +6,12 @@ mask where the library uses a transform, a bitset or a closed form.
 """
 
 import itertools
+import math
 from fractions import Fraction as F
 
 from jcontainers.copies import CopyHypergraph, least_isomorphism
-from jcontainers.hypercore import Hypergraph, mask_of, popcount
+from jcontainers.errors import InputError
+from jcontainers.hypercore import Hypergraph, bits_of, mask_of, popcount
 from jcontainers.janson import overlap_matrix
 from jcontainers.measures import Measure
 
@@ -87,3 +89,45 @@ def dense_dual(m, p):
     qx = [sum((a * w for a, w in zip(row, m.weights)), zero) for row in q]
     lam = sum((w * v for w, v in zip(m.weights, qx)), zero)
     return lam - max(2 * (lam - min(qx)), zero)
+
+
+def settled_reference(h, p, r):
+    """The input checks and the no-solve answers of a Janson query by plain
+    comparisons, whatever the number types: InputError for R < 0, a NaN or
+    infinite R and p outside (0, 1], in that order; then "YES" for R = 0,
+    "NO" for no edges, "YES" for an edge of size <= 1, else None."""
+    if r < 0:
+        raise InputError("R must be nonnegative")
+    if not r < math.inf:
+        raise InputError("R must be finite")
+    if not 0 < p <= 1:
+        raise InputError("p must lie in (0, 1]")
+    if r == 0:
+        return "YES"
+    if not h.edges:
+        return "NO"
+    if any(popcount(e) <= 1 for e in h.edges):
+        return "YES"
+    return None
+
+
+def graph_problem(n, adj):
+    """The message of the first check an adjacency tuple of length n fails,
+    vertex by vertex: a neighbour outside [0, n) or a self-loop, then an
+    asymmetric pair; None for a valid graph."""
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row & ~full:
+            return f"vertex {v} has a neighbour outside [0, n)"
+        if row >> v & 1:
+            return f"self-loop at vertex {v}"
+    for v in range(n):
+        for u in bits_of(adj[v]):
+            if not adj[u] >> v & 1:
+                return f"asymmetric adjacency between {u} and {v}"
+    return None
+
+
+def subgraph_reference(g_prime, g):
+    """Edge containment vertex by vertex on a shared vertex set."""
+    return g_prime.n == g.n and all(g_prime.adj[v] & ~g.adj[v] == 0 for v in range(g.n))

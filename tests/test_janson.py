@@ -26,7 +26,7 @@ from jcontainers.prng import SplitMix64
 
 import paper
 from conftest import hypergraphs, rational_weights
-from oracles import dense_dual, float_measure
+from oracles import dense_dual, float_measure, settled_reference
 from paper import (
     HypothesisViolation,
     aggregate_witnesses,
@@ -928,6 +928,70 @@ class TestRequireVerdict:
         assert verdict.dual_bound > 0
         assert janson._decide(min_lambda(h, 0.5).witness, 0.5, r)[0] == "NO"
         assert require_verdict(h, 0.5, r) is False
+
+
+class Ratio(F):
+    """A Fraction subclass: still a rational, so it takes the exact checks."""
+
+
+HUGE = 10**400
+# p and R of every number type a query takes, at and around the check
+# boundaries: ints, Fractions (huge, tiny, negative, a subclass) and floats
+# (nan, both infinities, -0.0, the least subnormal, the float after 1)
+QUERY_NUMBERS = st.one_of(
+    st.integers(-2, 3),
+    st.sampled_from([HUGE, -HUGE]),
+    st.fractions(min_value=-2, max_value=3, max_denominator=12),
+    st.sampled_from([F(0), F(1), F(-1, HUGE), F(1, HUGE), F(HUGE), 1 - F(1, HUGE), 1 + F(1, HUGE)]),
+    st.builds(Ratio, st.fractions(min_value=-2, max_value=3, max_denominator=12)),
+    st.sampled_from([Ratio(0), Ratio(1), Ratio(-1, HUGE), Ratio(HUGE)]),
+    st.floats(min_value=-2, max_value=3),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1.0, 1 + 2**-52]),
+)
+# no edges, an empty edge, a one-vertex edge, and pair edges (no settled answer)
+CHECK_HOSTS = [
+    Hypergraph(3, ()),
+    Hypergraph(3, (0,)),
+    Hypergraph(3, (0b011, 0b100)),
+    Hypergraph(4, (0b0011, 0b1100)),
+]
+
+
+def outcome(call):
+    """("raises", message) for an InputError, else ("returns", value)."""
+    try:
+        return "returns", call()
+    except InputError as exc:
+        return "raises", str(exc)
+
+
+class TestQueryInputChecks:
+    """Every query checks (p, R) as plain comparisons would, whatever the
+    number types, and answers what needs no solve as they would."""
+
+    @given(st.sampled_from(CHECK_HOSTS), QUERY_NUMBERS, QUERY_NUMBERS)
+    @example(CHECK_HOSTS[0], Ratio(1, 2), Ratio(-1, HUGE))
+    @example(CHECK_HOSTS[1], F(1), F(HUGE))
+    @example(CHECK_HOSTS[3], 1 + 2**-52, F(1, 2))
+    @example(CHECK_HOSTS[3], F(1, 2), -0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_settled_checks_match_plain_comparisons(self, h, p, r):
+        kind, want = outcome(lambda: settled_reference(h, p, r))
+        assert outcome(lambda: janson._settled(h, p, r)) == (kind, want)
+        if kind == "raises":
+            assert outcome(lambda: require_verdict(h, p, r)) == (kind, want)
+            assert outcome(lambda: is_janson(h, p, r)) == (kind, want)
+        elif want is not None:
+            assert require_verdict(h, p, r) == (want == "YES")
+            assert is_janson(h, p, r).answer == want
+        # R* checks p alone, with R = 1 standing for any R > 0
+        kind, want = outcome(lambda: settled_reference(h, p, 1))
+        if kind == "raises":
+            assert outcome(lambda: janson_threshold(h, p)) == (kind, want)
+        elif want == "NO":
+            assert janson_threshold(h, p) == 0
+        elif want == "YES":
+            assert janson_threshold(h, p) == math.inf
 
 
 class TestInverseDiagonalMemo:

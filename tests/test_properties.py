@@ -5,6 +5,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jcontainers.containers import containment_table, minimal_members
 from jcontainers.hypercore import Hypergraph, mask_of, popcount, restrict_edges
@@ -22,6 +24,9 @@ from jcontainers.prng import SplitMix64
 from jcontainers.ramsey import check_event_inductive
 from jcontainers.hypercore import Graph
 
+from conftest import graphs
+from jcontainers.errors import InputError
+from oracles import graph_problem, subgraph_reference
 from paper import mass
 
 
@@ -274,3 +279,58 @@ class TestTwoLayerGuard:
         bad = Hypergraph(4, (mask_of([0, 2]),))  # (0, layer0) and (0, layer1)
         with pytest.raises(InputError):
             ExtensionHypergraph(bad, 2)
+
+
+@st.composite
+def planted_adjacency(draw):
+    """(n, adj): a valid graph's adjacency with up to three planted faults,
+    each an out-of-range bit, a negative row, a self-loop or a one-way pair."""
+    n = draw(st.integers(1, 8))
+    adj = list(draw(graphs(min_n=n, max_n=n)).adj)
+    for _ in range(draw(st.integers(0, 3))):
+        v = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["outside", "negative", "loop", "one-way"]))
+        if kind == "outside":
+            adj[v] |= 1 << draw(st.integers(n, n + 70))
+        elif kind == "negative":
+            adj[v] = ~adj[v]
+        elif kind == "loop":
+            adj[v] |= 1 << v
+        elif n > 1:
+            adj[v] ^= 1 << draw(st.sampled_from([u for u in range(n) if u != v]))
+    return n, tuple(adj)
+
+
+class TestGraphChecks:
+    """Graph's checks give the vertex-by-vertex answers: the first offender's
+    message, and edge containment on a shared vertex set."""
+
+    @given(planted_adjacency())
+    @example((3, (0b101, 0b1000, 0b1)))  # self-loop at 0 before the range fault at 1
+    @example((3, (0b1000, 0b100, 0b10)))  # range fault at 0 before the one-way pair
+    @example((2, (-1, 0)))
+    @example((3, (0b10, 0b1 | 1 << 64, 0)))  # a bit past the universe cap
+    @settings(max_examples=300, deadline=None)
+    def test_construction_raises_the_first_offender(self, planted):
+        n, adj = planted
+        problem = graph_problem(n, adj)
+        if problem is None:
+            assert Graph(n, adj).adj == adj
+        else:
+            with pytest.raises(InputError) as caught:
+                Graph(n, adj)
+            assert str(caught.value) == problem
+
+    @given(graphs(max_n=7), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_is_subgraph_of_matches_the_reference(self, g, data):
+        edges = g.edges()
+        kept = data.draw(st.lists(st.sampled_from(edges), unique=True) if edges else st.just([]))
+        extra = data.draw(graphs(min_n=g.n, max_n=g.n)).edges()
+        for h in (Graph.from_edges(g.n, kept), Graph.from_edges(g.n, kept + extra)):
+            assert h.is_subgraph_of(g) == subgraph_reference(h, g)
+            assert g.is_subgraph_of(h) == subgraph_reference(g, h)
+        assert Graph.from_edges(g.n, kept).is_subgraph_of(g)
+        other = data.draw(graphs(max_n=8).filter(lambda o: o.n != g.n))
+        assert not other.is_subgraph_of(g) and not subgraph_reference(other, g)
+        assert not Graph.empty(g.n + 1).is_subgraph_of(Graph.complete(g.n))

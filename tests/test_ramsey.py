@@ -410,6 +410,40 @@ class TestUndecidedQueries:
         indeterminate = [note for note in report.notes if note.startswith("indeterminate: ")]
         assert indeterminate == [f"indeterminate: Janson query undecided: event {name}"]
 
+    @pytest.mark.parametrize("answer", [True, False, None])
+    def test_one_copy_build_per_tried_colour(self, monkeypatch, answer):
+        # the sweep builds copy hypergraphs through ramsey's own name, one
+        # right before each query it asks: True (every colour YES) tries
+        # colour 1 of all 2^10 colourings of K5, False (every colour NO)
+        # both colours of the first; None asks the real ladder
+        log = []
+        build = ramsey.induced_copy_hypergraph
+        ask = ramsey.require_verdict
+
+        def counted_build(f, g_prime, g):
+            log.append("build")
+            return build(f, g_prime, g)
+
+        def counted_ask(h, p, r, context=""):
+            log.append("ask")
+            return ask(h, p, r, context) if answer is None else answer
+
+        monkeypatch.setattr(ramsey, "induced_copy_hypergraph", counted_build)
+        monkeypatch.setattr(ramsey, "require_verdict", counted_ask)
+
+        def event():
+            report = check_event_bad(Graph.complete(5), [Graph.complete(3)] * 2, F(1, 5))
+            return report.holds, report.witness, report.exhaustive, report.notes
+
+        outcome = event()
+        tried = {True: 2**10, False: 2, None: len(log) // 2}[answer]
+        assert log == ["build", "ask"] * tried
+        if answer is None:
+            monkeypatch.undo()
+            assert outcome == event()
+        else:
+            assert outcome[0] is not answer
+
     def test_cli_event_exits_4(self, monkeypatch, capsys):
         undecided_verdicts(monkeypatch)
         code = dispatch(["ramsey", "event", "--kind", "B", "--G", "K5", "--H", "K3,K3"])
